@@ -74,63 +74,50 @@ void BcTree::EnsureDense() {
 }
 
 // ---------------------------------------------------------------------------
-// BuildFrom.
+// Bulk build.
 
-BcTree::Node* BcTree::BuildRange(const std::vector<int64_t>& values,
-                                 int64_t lo, int64_t span,
-                                 int64_t* subtree_total) {
-  *subtree_total = 0;
-  const int64_t limit = static_cast<int64_t>(values.size());
-  if (lo >= limit) return nullptr;
-  if (span == fanout_) {
-    // Leaf: materialize only if some entry is nonzero. The values are
-    // contiguous, so total and occupancy are two vectorizable passes.
-    const int64_t count = std::min<int64_t>(fanout_, limit - lo);
-    const int64_t* src = values.data() + lo;
-    *subtree_total = kernels::Sum(src, static_cast<size_t>(count));
-    int64_t any_bits = 0;
-    for (int64_t i = 0; i < count; ++i) any_bits |= src[i];
-    if (any_bits == 0) return nullptr;
-    Node* node = NewNode(/*is_leaf=*/true);
-    std::memcpy(NodeSums(node), src,
-                static_cast<size_t>(count) * sizeof(int64_t));
+BcTree::Node* BcTree::BuildSortedRange(const int64_t* pairs, size_t count,
+                                       int64_t lo, int64_t span,
+                                       int64_t* subtree_total) {
+  // Parent before children, as the update path allocates them.
+  const bool is_leaf = span == fanout_;
+  Node* node = NewNode(is_leaf);
+  int64_t* sums = NodeSums(node);
+  int64_t total = 0;
+  if (is_leaf) {
+    for (size_t q = 0; q < count; ++q) {
+      sums[pairs[2 * q] - lo] = pairs[2 * q + 1];
+      total += pairs[2 * q + 1];
+    }
+    *subtree_total = total;
     return node;
   }
-
-  // Interior: build the children first (into stack temporaries) so all-zero
-  // subtrees never allocate arena memory.
   const int64_t child_span = span / fanout_;
-  std::vector<Node*> kids(static_cast<size_t>(fanout_), nullptr);
-  std::vector<int64_t> totals(static_cast<size_t>(fanout_), 0);
-  bool any_child = false;
-  for (int64_t i = 0; i < fanout_; ++i) {
-    kids[static_cast<size_t>(i)] =
-        BuildRange(values, lo + i * child_span, child_span,
-                   &totals[static_cast<size_t>(i)]);
-    any_child |= (kids[static_cast<size_t>(i)] != nullptr);
-    *subtree_total += totals[static_cast<size_t>(i)];
+  size_t q = 0;
+  while (q < count) {
+    const int64_t child = (pairs[2 * q] - lo) / child_span;
+    size_t end = q + 1;
+    while (end < count && (pairs[2 * end] - lo) / child_span == child) ++end;
+    int64_t child_total = 0;
+    NodeChildren(node)[child] =
+        BuildSortedRange(pairs + 2 * q, end - q, lo + child * child_span,
+                         child_span, &child_total);
+    sums[child] = child_total;
+    total += child_total;
+    q = end;
   }
-  if (!any_child) return nullptr;
-  Node* node = NewNode(/*is_leaf=*/false);
-  std::memcpy(NodeSums(node), totals.data(),
-              static_cast<size_t>(fanout_) * sizeof(int64_t));
-  std::memcpy(NodeChildren(node), kids.data(),
-              static_cast<size_t>(fanout_) * sizeof(Node*));
+  *subtree_total = total;
   return node;
 }
 
-void BcTree::BuildFromDense(const std::vector<int64_t>& values) {
+void BcTree::BuildSortedDense(std::span<const int64_t> pairs) {
   EnsureDense();
   const int64_t f = fanout_;
-  // Leaf level: slots [first_leaf, dense_slots_), leaf i holds values
+  // Leaf level: slots [first_leaf, dense_slots_), leaf i holds indices
   // [i*f, (i+1)*f).
-  const int64_t num_leaves = root_span_ / f;
-  const int64_t first_leaf = dense_slots_ - num_leaves;
-  const int64_t limit = static_cast<int64_t>(values.size());
-  for (int64_t i = 0; i * f < limit; ++i) {
-    const int64_t count = std::min<int64_t>(f, limit - i * f);
-    std::memcpy(dense_ + (first_leaf + i) * f, values.data() + i * f,
-                static_cast<size_t>(count) * sizeof(int64_t));
+  const int64_t first_leaf = dense_slots_ - root_span_ / f;
+  for (size_t q = 0; q < pairs.size(); q += 2) {
+    dense_[first_leaf * f + pairs[q]] = pairs[q + 1];
   }
   // Interior levels, bottom-up: each STS is the (vectorized) total of the
   // child slot it summarizes.
@@ -145,16 +132,21 @@ void BcTree::BuildFromDense(const std::vector<int64_t>& values) {
   total_ = kernels::Sum(dense_, static_cast<size_t>(f));
 }
 
-void BcTree::BuildFrom(const std::vector<int64_t>& values) {
+void BcTree::BuildFromSorted(std::span<const int64_t> pairs) {
   DDC_CHECK(root_ == nullptr && dense_ == nullptr && total_ == 0);
-  DDC_CHECK(static_cast<int64_t>(values.size()) <= capacity_);
-  if (layout_ == BcLayout::kDense) {
-    BuildFromDense(values);
-    return;
+  DDC_CHECK(pairs.size() % 2 == 0);
+  for (size_t q = 0; q < pairs.size(); q += 2) {
+    DDC_CHECK(pairs[q] >= 0 && pairs[q] < capacity_);
+    DDC_CHECK(q == 0 || pairs[q - 2] < pairs[q]);
   }
-  int64_t total = 0;
-  root_ = BuildRange(values, 0, root_span_, &total);
-  total_ = total;
+  if (pairs.empty()) return;
+  if (layout_ == BcLayout::kDense) {
+    BuildSortedDense(pairs);
+  } else {
+    root_ = BuildSortedRange(pairs.data(), pairs.size() / 2, 0, root_span_,
+                             &total_);
+  }
+  CountWrite(allocated_entries_);
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bctree/cumulative_store.h"
@@ -74,13 +75,12 @@ class BcTree : public CumulativeStore1D {
   BcTree(const BcTree&) = delete;
   BcTree& operator=(const BcTree&) = delete;
 
-  // Bulk-builds the tree bottom-up from `values` (one per index; shorter
-  // vectors are zero-extended). The tree must be empty. Writes each stored
-  // entry exactly once — O(capacity) instead of O(capacity log capacity)
-  // repeated Adds — and (in the sparse layout) materializes only subtrees
-  // with nonzero content. Subtree totals accumulate through the vectorized
-  // block-sum kernel.
-  void BuildFrom(const std::vector<int64_t>& values);
+  // Bulk-builds the empty tree bottom-up from `pairs`: (index, value)
+  // interleaved, indices strictly ascending. The sparse layout materializes
+  // only the root-to-leaf paths over the given indices, so the cost follows
+  // the pairs, not the capacity; each stored entry is written once and
+  // counted as one write.
+  void BuildFromSorted(std::span<const int64_t> pairs);
 
   void Add(int64_t index, int64_t delta) override;
   int64_t CumulativeSum(int64_t index) const override;
@@ -147,12 +147,12 @@ class BcTree : public CumulativeStore1D {
   void AddDense(int64_t index, int64_t delta);
   int64_t CumulativeSumDense(int64_t index) const;
   int64_t ValueDense(int64_t index) const;
-  void BuildFromDense(const std::vector<int64_t>& values);
+  void BuildSortedDense(std::span<const int64_t> pairs);
 
-  // Builds the subtree covering values[lo, lo+span); returns nullptr when
-  // the range is entirely zero. Sets *subtree_total.
-  Node* BuildRange(const std::vector<int64_t>& values, int64_t lo,
-                   int64_t span, int64_t* subtree_total);
+  // Builds the sparse subtree covering [lo, lo+span) from its `count` pairs
+  // (at least one); sets *subtree_total.
+  Node* BuildSortedRange(const int64_t* pairs, size_t count, int64_t lo,
+                         int64_t span, int64_t* subtree_total);
   bool CheckNode(const Node* node, int64_t span) const;
   int64_t NodeTotal(const Node* node) const;
 

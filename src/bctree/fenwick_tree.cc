@@ -25,6 +25,7 @@ void FenwickTree::BuildFrom(const std::vector<int64_t>& values) {
       tree_[static_cast<size_t>(parent)] += tree_[static_cast<size_t>(i)];
     }
   }
+  CountWrite(capacity_);  // Every stored value written once.
 }
 
 void FenwickTree::Add(int64_t index, int64_t delta) {

@@ -387,87 +387,379 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
   }
 }
 
-void DdcCore::BuildFromArray(const MdArray<int64_t>& array) {
-  DDC_CHECK(total_ == 0 && root_ == nullptr && root_raw_ == nullptr);
-  DDC_CHECK(array.shape() == Shape::Cube(dims_, side_));
-  if (side_ <= min_box_side_) {
-    int64_t total = 0;
-    bool any_nonzero = false;
-    array.ForEach([&](const Cell&, const int64_t& v) {
-      total += v;
-      any_nonzero |= (v != 0);
-    });
-    if (any_nonzero) {
-      root_raw_ = arena_->Create<MdArray<int64_t>>(array);
+// ---------------------------------------------------------------------------
+// Bulk build.
+
+namespace {
+
+constexpr size_t kNoLists = static_cast<size_t>(-1);
+
+// The builder order on `dims` local coordinates (see BuildFromCells): the
+// highest differing tree bit decides, ties between dimensions going to the
+// higher dimension; cells inside one leaf block compare row-major.
+bool TreeLess(const int64_t* a, const int64_t* b, int dims, int low_bits) {
+  if (dims == 1) return a[0] < b[0];
+  uint64_t best = 0;
+  int best_dim = -1;
+  for (int i = 0; i < dims; ++i) {
+    const uint64_t x =
+        (static_cast<uint64_t>(a[i]) ^ static_cast<uint64_t>(b[i])) >>
+        low_bits;
+    // msb(x) >= msb(best): x is not below best's highest bit.
+    if (x != 0 && !(x < best && x < (x ^ best))) {
+      best = x;
+      best_dim = i;
     }
-    total_ = total;
+  }
+  if (best_dim >= 0) return a[best_dim] < b[best_dim];
+  for (int i = 0; i < dims; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i];
+  }
+  return false;
+}
+
+}  // namespace
+
+void DdcCore::BuildFromCells(std::vector<int64_t> records) {
+  DDC_CHECK(total_ == 0 && root_ == nullptr && root_raw_ == nullptr);
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  DDC_CHECK(records.size() % stride == 0);
+  OrderRecords(records);
+  CellBuildScratch scratch(dims_);
+  BuildFromSortedCells(records.data(), records.size() / stride, scratch);
+}
+
+void DdcCore::OrderRecords(std::vector<int64_t>& records) const {
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  const size_t n = records.size() / stride;
+  const int low_bits = FloorLog2(min_box_side_);
+  const auto less = [&](const int64_t* a, const int64_t* b) {
+    return TreeLess(a, b, dims_, low_bits);
+  };
+  bool ordered = true;
+  for (size_t q = 0; q < n; ++q) {
+    const int64_t* r = records.data() + q * stride;
+    for (int i = 0; i < dims_; ++i) DDC_CHECK(r[i] >= 0 && r[i] < side_);
+    if (ordered && q > 0 && !less(r - stride, r)) ordered = false;
+  }
+  if (!ordered) {
+    DDC_CHECK(n <= UINT32_MAX);
+    std::vector<uint32_t> order(n);
+    const int64_t* base = records.data();
+    const int side_bits = FloorLog2(side_);
+    if (dims_ * side_bits <= 64) {
+      // The builder order as one integer: the tree bits interleaved level
+      // by level (dimension dims-1 first), then the leaf-block offsets
+      // row-major. On the durable_ingest restart (2-D, range-add overlay
+      // cells out of order) this sort keeps recovery_s about 15% below
+      // the comparator sort's; DESIGN.md §10 has the measurement.
+      std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
+      for (size_t q = 0; q < n; ++q) {
+        const int64_t* r = base + q * stride;
+        uint64_t key = 0;
+        for (int b = side_bits - 1; b >= low_bits; --b) {
+          for (int i = dims_ - 1; i >= 0; --i) {
+            key = (key << 1) | ((static_cast<uint64_t>(r[i]) >> b) & 1u);
+          }
+        }
+        for (int i = 0; i < dims_; ++i) {
+          key = (key << low_bits) |
+                static_cast<uint64_t>(r[i] & (min_box_side_ - 1));
+        }
+        keyed[q] = {key, static_cast<uint32_t>(q)};
+      }
+      std::sort(keyed.begin(), keyed.end());
+      for (size_t q = 0; q < n; ++q) order[q] = keyed[q].second;
+    } else {
+      for (size_t q = 0; q < n; ++q) order[q] = static_cast<uint32_t>(q);
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return less(base + a * stride, base + b * stride);
+      });
+    }
+    std::vector<int64_t> sorted(records.size());
+    for (size_t q = 0; q < n; ++q) {
+      std::copy_n(base + order[q] * stride, stride,
+                  sorted.data() + q * stride);
+    }
+    records.swap(sorted);
+  }
+  // Repeats are now adjacent: sum them, and drop cells that sum to zero.
+  size_t kept = 0;
+  for (size_t q = 0; q < n;) {
+    const int64_t* r = records.data() + q * stride;
+    int64_t sum = r[dims_];
+    size_t next = q + 1;
+    for (; next < n; ++next) {
+      const int64_t* s = records.data() + next * stride;
+      if (!std::equal(r, r + dims_, s)) break;
+      sum += s[dims_];
+    }
+    if (sum != 0) {
+      int64_t* out = records.data() + kept * stride;
+      if (kept != q) std::copy_n(r, dims_, out);
+      out[dims_] = sum;
+      ++kept;
+    }
+    q = next;
+  }
+  records.resize(kept * stride);
+}
+
+void DdcCore::BuildFromSortedCells(const int64_t* records, size_t count,
+                                   CellBuildScratch& scratch) {
+  DDC_CHECK(total_ == 0 && root_ == nullptr && root_raw_ == nullptr);
+  if (count == 0) return;
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  for (size_t q = 0; q < count; ++q) {
+    DDC_DCHECK(q == 0 || TreeLess(records + (q - 1) * stride,
+                                  records + q * stride, dims_,
+                                  FloorLog2(min_box_side_)));
+    total_ += records[q * stride + dims_];
+  }
+  if (side_ <= min_box_side_) {
+    root_raw_ = arena_->Create<MdArray<int64_t>>(Shape::Cube(dims_, side_));
+    FillRawBlock(root_raw_, side_, records, count);
     return;
   }
   EnsureNode(&root_);
-  total_ = BuildNodeFromArray(root_, side_, UniformCell(dims_, 0), array);
+  BuildNodeFromCells(root_, side_, records, count, scratch,
+                     /*want_lists=*/false);
 }
 
-int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
-                                    const Cell& anchor,
-                                    const MdArray<int64_t>& array) {
+void DdcCore::BuildNodeFromCells(Node* node, int64_t node_side,
+                                 const int64_t* records, size_t count,
+                                 CellBuildScratch& scratch, bool want_lists) {
+  CountNode(node);
   const int64_t k = node_side / 2;
-  int64_t total = 0;
-  for (uint32_t mask = 0; mask < num_children_; ++mask) {
-    Cell box_anchor = anchor;
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  const auto home = [&](const int64_t* r) {
+    uint32_t mask = 0;
     for (int i = 0; i < dims_; ++i) {
-      if (mask & (1u << i)) box_anchor[static_cast<size_t>(i)] += k;
+      if (r[i] & k) mask |= 1u << i;
     }
-
-    // One scan of the box region: subtotal, occupancy, and (for d > 1) the
-    // d line-sum arrays G_j that seed the face stores.
-    int64_t box_total = 0;
-    bool any_nonzero = false;
-    std::vector<MdArray<int64_t>> line_sums;
-    if (dims_ > 1) {
-      line_sums.reserve(static_cast<size_t>(dims_));
-      for (int j = 0; j < dims_; ++j) {
-        line_sums.emplace_back(Shape::Cube(dims_ - 1, k));
-      }
-    }
-    const Shape box_shape = Shape::Cube(dims_, k);
-    Cell offset(static_cast<size_t>(dims_), 0);
-    do {
-      const int64_t v = array.at(CellAdd(box_anchor, offset));
-      if (v == 0) continue;
-      any_nonzero = true;
-      box_total += v;
-      for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-        line_sums[static_cast<size_t>(j)].at(Transverse(offset, j)) += v;
-      }
-    } while (box_shape.NextCell(&offset));
-    total += box_total;
-    if (!any_nonzero) continue;
-
-    BoxData* box = EnsureBox(node, mask, k);
-    box->subtotal = box_total;
-    CountWrite(1);
-    for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-      box->faces[j].BuildFromDense(line_sums[static_cast<size_t>(j)]);
-    }
-
-    if (k > min_box_side_) {
-      if (node->child_nodes == nullptr) {
-        node->child_nodes = arena_->CreateArray<Node*>(num_children_);
-      }
-      Node* child = EnsureNode(&node->child_nodes[mask]);
-      const int64_t child_total =
-          BuildNodeFromArray(child, k, box_anchor, array);
-      DDC_CHECK(child_total == box_total);
-    } else {
-      MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
-      Cell cursor(static_cast<size_t>(dims_), 0);
-      do {
-        raw->at(cursor) = array.at(CellAdd(box_anchor, cursor));
-      } while (box_shape.NextCell(&cursor));
-      CountWrite(raw->size());
-    }
+    return mask;
+  };
+  std::vector<size_t>& box_lists =
+      scratch.levels[static_cast<size_t>(dims_)].box_lists;
+  const size_t lists_base = box_lists.size();
+  if (want_lists) box_lists.resize(lists_base + num_children_, kNoLists);
+  // Builder order keeps each child's records contiguous.
+  size_t lo = 0;
+  while (lo < count) {
+    const uint32_t mask = home(records + lo * stride);
+    size_t hi = lo + 1;
+    while (hi < count && home(records + hi * stride) == mask) ++hi;
+    const size_t lists = BuildBoxFromCells(node, mask, k, records + lo * stride,
+                                           hi - lo, scratch, want_lists);
+    if (want_lists) box_lists[lists_base + mask] = lists;
+    lo = hi;
   }
-  return total;
+  if (want_lists) {
+    MergeBoxLists(k, lists_base, scratch);
+    box_lists.resize(lists_base);
+  }
+}
+
+size_t DdcCore::BuildBoxFromCells(Node* node, uint32_t mask, int64_t k,
+                                  const int64_t* records, size_t count,
+                                  CellBuildScratch& scratch, bool keep_lists) {
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  BoxData* box = EnsureBox(node, mask, k);
+  int64_t subtotal = 0;
+  for (size_t q = 0; q < count; ++q) subtotal += records[q * stride + dims_];
+  box->subtotal = subtotal;
+  CountWrite(1);
+
+  std::vector<int64_t>& pool = scratch.levels[static_cast<size_t>(dims_)].pool;
+  const size_t lists = pool.size();
+  if (k > min_box_side_) {
+    if (node->child_nodes == nullptr) {
+      node->child_nodes = arena_->CreateArray<Node*>(num_children_);
+    }
+    Node* child = EnsureNode(&node->child_nodes[mask]);
+    // A lone cell's line sums are its own projections; a crowd's are the
+    // child boxes' lists merged on the way back up. (Projecting and
+    // sorting every box's records instead, as leaf boxes do, made restarts
+    // about 50-60% slower; DESIGN.md §10.)
+    const bool merge = dims_ > 1 && count > 1;
+    BuildNodeFromCells(child, k, records, count, scratch, merge);
+    if (dims_ > 1 && !merge) AppendLeafLists(records, count, k, scratch);
+  } else {
+    FillRawBlock(EnsureRaw(node, mask, k), k, records, count);
+    if (dims_ > 1) AppendLeafLists(records, count, k, scratch);
+  }
+  if (dims_ == 1) return kNoLists;
+
+  // The faces read the lists in place: nested face cores build on their
+  // own (d-1)-dimensional pool, so this one stays put.
+  size_t at = lists + static_cast<size_t>(dims_);
+  for (int j = 0; j < dims_; ++j) {
+    const size_t n = static_cast<size_t>(pool[lists + static_cast<size_t>(j)]);
+    box->faces[j].BuildFromSorted(pool.data() + at, n, scratch);
+    at += n * static_cast<size_t>(dims_);
+  }
+  if (!keep_lists) pool.resize(lists);
+  return lists;
+}
+
+void DdcCore::FillRawBlock(MdArray<int64_t>* raw, int64_t block_side,
+                           const int64_t* records, size_t count) {
+  CountNode(raw);
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  for (size_t q = 0; q < count; ++q) {
+    const int64_t* r = records + q * stride;
+    int64_t index = 0;
+    for (int i = 0; i < dims_; ++i) {
+      index = index * block_side + (r[i] & (block_side - 1));
+    }
+    DDC_DCHECK(raw->at_linear(index) == 0);  // Records are distinct.
+    raw->at_linear(index) = r[dims_];
+  }
+  CountWrite(raw->size());
+}
+
+void DdcCore::AppendLeafLists(const int64_t* records, size_t count, int64_t k,
+                              CellBuildScratch& scratch) const {
+  CellBuildScratch::Level& level = scratch.levels[static_cast<size_t>(dims_)];
+  std::vector<int64_t>& pool = level.pool;
+  const size_t stride = static_cast<size_t>(dims_) + 1;
+  const size_t entry = static_cast<size_t>(dims_);  // d-1 coords + sum.
+  const int tdims = dims_ - 1;
+  const int low_bits = FloorLog2(min_box_side_);
+  const size_t head = pool.size();
+  if (count == 1) {
+    // A lone cell: each face holds its projection, already in order.
+    pool.resize(head + static_cast<size_t>(dims_), 1);
+    for (int j = 0; j < dims_; ++j) {
+      for (int i = 0; i < dims_; ++i) {
+        if (i != j) pool.push_back(records[i] & (k - 1));
+      }
+      pool.push_back(records[dims_]);
+    }
+    return;
+  }
+  pool.resize(head + static_cast<size_t>(dims_), 0);
+  for (int j = 0; j < dims_; ++j) {
+    // Project onto face j, order, and sum the entries sharing a line.
+    level.leaf.clear();
+    for (size_t q = 0; q < count; ++q) {
+      const int64_t* r = records + q * stride;
+      for (int i = 0; i < dims_; ++i) {
+        if (i != j) level.leaf.push_back(r[i] & (k - 1));
+      }
+      level.leaf.push_back(r[dims_]);
+    }
+    level.order.resize(count);
+    for (size_t q = 0; q < count; ++q) level.order[q] = static_cast<uint32_t>(q);
+    const int64_t* leaf = level.leaf.data();
+    std::sort(level.order.begin(), level.order.end(),
+              [&](uint32_t a, uint32_t b) {
+                return TreeLess(leaf + a * entry, leaf + b * entry, tdims,
+                                low_bits);
+              });
+    int64_t emitted = 0;
+    size_t last = kNoLists;  // Pool offset of the entry being summed.
+    for (uint32_t q : level.order) {
+      const int64_t* e = leaf + q * entry;
+      if (last != kNoLists &&
+          std::equal(e, e + tdims, pool.data() + last)) {
+        pool[last + static_cast<size_t>(tdims)] += e[tdims];
+        continue;
+      }
+      if (last != kNoLists && pool[last + static_cast<size_t>(tdims)] == 0) {
+        pool.resize(last);  // The previous line summed to zero.
+        --emitted;
+      }
+      last = pool.size();
+      pool.insert(pool.end(), e, e + entry);
+      ++emitted;
+    }
+    if (last != kNoLists && pool[last + static_cast<size_t>(tdims)] == 0) {
+      pool.resize(last);
+      --emitted;
+    }
+    pool[head + static_cast<size_t>(j)] = emitted;
+  }
+}
+
+void DdcCore::MergeBoxLists(int64_t k, size_t lists_base,
+                            CellBuildScratch& scratch) const {
+  CellBuildScratch::Level& level = scratch.levels[static_cast<size_t>(dims_)];
+  std::vector<int64_t>& pool = level.pool;
+  const std::vector<size_t>& box_lists = level.box_lists;
+  const size_t d = static_cast<size_t>(dims_);
+  const size_t entry = d;
+  const int tdims = dims_ - 1;
+  const int low_bits = FloorLog2(min_box_side_);
+
+  // Where list j of box `mask` starts, and its length.
+  const auto list = [&](uint32_t mask, int j) -> std::pair<size_t, size_t> {
+    const size_t base = box_lists[lists_base + mask];
+    if (base == kNoLists) return {0, 0};
+    size_t at = base + d;
+    for (int i = 0; i < j; ++i) {
+      at += static_cast<size_t>(pool[base + static_cast<size_t>(i)]) * entry;
+    }
+    return {at, static_cast<size_t>(pool[base + static_cast<size_t>(j)])};
+  };
+  size_t first = kNoLists;
+  size_t bound = d;
+  for (uint32_t mask = 0; mask < num_children_; ++mask) {
+    const size_t base = box_lists[lists_base + mask];
+    if (base == kNoLists) continue;
+    first = std::min(first, base);
+    for (int j = 0; j < dims_; ++j) bound += list(mask, j).second * entry;
+  }
+  DDC_DCHECK(first != kNoLists);
+  // Merged output goes past the box lists, written through a pointer into
+  // room sized by the bound (the inputs sit below it, so they stay put).
+  const size_t out = pool.size();
+  pool.resize(out + bound);
+  int64_t* w = pool.data() + out + d;
+  const uint32_t num_transverse = num_children_ / 2;
+  for (int j = 0; j < dims_; ++j) {
+    const int64_t* list_begin = w;
+    // Transverse child digits in ascending order; the two boxes that differ
+    // only along j cover the same lines and merge.
+    for (uint32_t t = 0; t < num_transverse; ++t) {
+      const uint32_t low = t & ((1u << j) - 1);
+      const uint32_t m0 = low | ((t >> j) << (j + 1));
+      auto [a_at, a_n] = list(m0, j);
+      auto [b_at, b_n] = list(m0 | (1u << j), j);
+      const int64_t* a = pool.data() + a_at;
+      const int64_t* b = pool.data() + b_at;
+      const int64_t* a_end = a + a_n * entry;
+      const int64_t* b_end = b + b_n * entry;
+      const auto emit = [&](const int64_t* e, int64_t sum) {
+        if (sum == 0) return;
+        for (int p = 0; p < tdims; ++p) *w++ = e[p] + ((t >> p) & 1u ? k : 0);
+        *w++ = sum;
+      };
+      while (a != a_end && b != b_end) {
+        if (TreeLess(a, b, tdims, low_bits)) {
+          emit(a, a[tdims]);
+          a += entry;
+        } else if (TreeLess(b, a, tdims, low_bits)) {
+          emit(b, b[tdims]);
+          b += entry;
+        } else {
+          emit(a, a[tdims] + b[tdims]);
+          a += entry;
+          b += entry;
+        }
+      }
+      for (; a != a_end; a += entry) emit(a, a[tdims]);
+      for (; b != b_end; b += entry) emit(b, b[tdims]);
+    }
+    pool[out + static_cast<size_t>(j)] =
+        static_cast<int64_t>(w - list_begin) / static_cast<int64_t>(entry);
+  }
+  pool.resize(static_cast<size_t>(w - pool.data()));
+  // Move the region's lists down over the box lists they replace.
+  const size_t merged = pool.size() - out;
+  std::copy(pool.begin() + static_cast<std::ptrdiff_t>(out), pool.end(),
+            pool.begin() + static_cast<std::ptrdiff_t>(first));
+  pool.resize(first + merged);
 }
 
 int64_t DdcCore::PrefixSum(const Cell& cell) const {
@@ -866,37 +1158,54 @@ void DdcCore::NodeStats(const Node* node, int64_t node_side,
 
 void DdcCore::ForEachNonZero(
     const std::function<void(const Cell&, int64_t)>& fn) const {
+  Cell anchor(static_cast<size_t>(dims_), 0);
+  Cell cell(static_cast<size_t>(dims_), 0);
   if (root_raw_ != nullptr) {
-    root_raw_->ForEach([&](const Cell& cell, const int64_t& value) {
-      if (value != 0) fn(cell, value);
-    });
+    BlockForEachNonZero(*root_raw_, side_, anchor, cell, fn);
     return;
   }
   if (root_ == nullptr) return;
-  NodeForEachNonZero(root_, side_, UniformCell(dims_, 0), fn);
+  NodeForEachNonZero(root_, side_, anchor, cell, fn);
 }
 
 void DdcCore::NodeForEachNonZero(
-    const Node* node, int64_t node_side, const Cell& node_anchor,
+    const Node* node, int64_t node_side, Cell& anchor, Cell& cell,
     const std::function<void(const Cell&, int64_t)>& fn) const {
   const int64_t k = node_side / 2;
   for (uint32_t mask = 0; mask < num_children_; ++mask) {
     if (!node->boxes[mask].present) continue;
-    Cell box_anchor = node_anchor;
     for (int i = 0; i < dims_; ++i) {
-      if (mask & (1u << i)) box_anchor[static_cast<size_t>(i)] += k;
+      if (mask & (1u << i)) anchor[static_cast<size_t>(i)] += k;
     }
     if (k <= min_box_side_) {
       const MdArray<int64_t>* raw =
           node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
-      if (raw == nullptr) continue;
-      raw->ForEach([&](const Cell& cell, const int64_t& value) {
-        if (value != 0) fn(CellAdd(box_anchor, cell), value);
-      });
+      if (raw != nullptr) BlockForEachNonZero(*raw, k, anchor, cell, fn);
     } else if (node->child_nodes != nullptr &&
                node->child_nodes[mask] != nullptr) {
-      NodeForEachNonZero(node->child_nodes[mask], k, box_anchor, fn);
+      NodeForEachNonZero(node->child_nodes[mask], k, anchor, cell, fn);
     }
+    for (int i = 0; i < dims_; ++i) {
+      if (mask & (1u << i)) anchor[static_cast<size_t>(i)] -= k;
+    }
+  }
+}
+
+void DdcCore::BlockForEachNonZero(
+    const MdArray<int64_t>& raw, int64_t block_side, const Cell& anchor,
+    Cell& cell, const std::function<void(const Cell&, int64_t)>& fn) const {
+  const int bits = FloorLog2(block_side);
+  const int64_t* data = raw.data();
+  for (int64_t index = 0; index < raw.size(); ++index) {
+    if (data[index] == 0) continue;
+    // Row-major: the last dimension owns the lowest bits of the index.
+    int64_t rest = index;
+    for (int i = dims_ - 1; i >= 0; --i) {
+      const size_t ui = static_cast<size_t>(i);
+      cell[ui] = anchor[ui] + (rest & (block_side - 1));
+      rest >>= bits;
+    }
+    fn(cell, data[index]);
   }
 }
 

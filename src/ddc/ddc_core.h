@@ -56,6 +56,23 @@
 
 namespace ddc {
 
+// Scratch of one bulk build (DdcCore::BuildFromCells), freed when the build
+// returns. It keeps one pool of line-sum lists per dimensionality, because
+// a nested face core of d-1 dimensions builds while its parent's pool still
+// holds the lists it reads. A node's lists sit on the pool as d counts and
+// then the d lists, each entry d-1 transverse coordinates and the line sum.
+struct CellBuildScratch {
+  struct Level {
+    std::vector<int64_t> pool;
+    std::vector<size_t> box_lists;  // Per-node pool offsets, by child mask.
+    std::vector<int64_t> leaf;      // Projected leaf entries, unordered.
+    std::vector<uint32_t> order;
+  };
+  explicit CellBuildScratch(int dims)
+      : levels(static_cast<size_t>(dims) + 1) {}
+  std::vector<Level> levels;
+};
+
 // Structural statistics of a DdcCore's primary tree (nested face structures
 // contribute to StorageCells() but are not broken out here).
 struct DdcStats {
@@ -100,12 +117,31 @@ class DdcCore {
   // deltas.size() must equal cells.size().
   void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas);
 
-  // Bulk-builds the cube from a dense array (shape must be the cube's
-  // domain). The cube must be empty. A single bottom-up pass writes each
-  // stored value once — O(n^d * d * log n) cell visits — instead of paying
-  // the O(log^d n) update path per cell, and materializes only nonzero
-  // regions.
-  void BuildFromArray(const MdArray<int64_t>& array);
+  // Bulk-builds an empty core from `records`: n cells laid out as in a
+  // snapshot, dims() local coordinates followed by the value, one record
+  // after another. Cells may come in any order and may repeat; an ordering
+  // pass sorts them into the builder order (below), sums repeats and drops
+  // zero sums before anything is built, so the loaded cube answers exactly
+  // as a loop of Add would. The build then runs level by level: each box
+  // subtotal is written once, each face is built from the box's coalesced
+  // line sums (a 1-D B_c face from sorted (position, sum) pairs, a nested
+  // face by recursing on the projected cells), and leaf blocks are filled
+  // directly. Only regions holding data are materialized, every stored
+  // value is counted as written once, and the work is proportional to the
+  // stored values, not to the domain. Scratch is O(n * dims) words, freed
+  // on return.
+  //
+  // Builder order: Morton order over the tree levels (one child-mask digit
+  // per level, dimension dims()-1 most significant within a digit), then
+  // row-major inside a min_box_side() leaf block — the order ForEachNonZero
+  // emits, so re-rooting a grown cube skips the sort.
+  void BuildFromCells(std::vector<int64_t> records);
+
+  // The level-by-level build on `count` records already in builder order,
+  // distinct and nonzero. Internal to BuildFromCells and to FaceStore,
+  // which hands a nested face core its box's line sums this way.
+  void BuildFromSortedCells(const int64_t* records, size_t count,
+                            CellBuildScratch& scratch);
 
   // SUM(A[(0,...,0) .. cell]).
   int64_t PrefixSum(const Cell& cell) const;
@@ -128,8 +164,9 @@ class DdcCore {
   // structures and raw leaf blocks (computed by traversal).
   int64_t StorageCells() const;
 
-  // Invokes fn(cell, value) for every cell with a nonzero value, in no
-  // particular order. Used for growth re-rooting, iteration and export.
+  // Invokes fn(cell, value) for every cell with a nonzero value, in builder
+  // order (see BuildFromCells). Used for growth re-rooting, iteration and
+  // export.
   void ForEachNonZero(
       const std::function<void(const Cell&, int64_t)>& fn) const;
 
@@ -260,12 +297,33 @@ class DdcCore {
   // box-level writes, and recurses once per group.
   void AddBatchRec(Node* node, int64_t node_side,
                    std::span<UpdateItem> items, UpdateScratch& scratch);
-  // Builds the subtree for the region [anchor, anchor + node_side) of
-  // `array`; returns the region total. `node` may be discarded by the
-  // caller if the total is zero and nothing was materialized.
-  int64_t BuildNodeFromArray(Node* node, int64_t node_side,
-                             const Cell& anchor,
-                             const MdArray<int64_t>& array);
+  // Sorts `records` into builder order, sums repeated cells and drops zero
+  // sums (the first step of BuildFromCells).
+  void OrderRecords(std::vector<int64_t>& records) const;
+  // Builds the boxes of `node` from its `count` records (builder order;
+  // coordinates local to this core, so a record's child mask is bit k of
+  // each coordinate). With `want_lists`, leaves the node region's line-sum
+  // lists on the scratch pool in place of its boxes' lists.
+  void BuildNodeFromCells(Node* node, int64_t node_side,
+                          const int64_t* records, size_t count,
+                          CellBuildScratch& scratch, bool want_lists);
+  // Builds one box (subtotal, child or leaf block, d faces) and returns the
+  // pool offset of its line-sum lists; they stay on the pool only with
+  // `keep_lists`.
+  size_t BuildBoxFromCells(Node* node, uint32_t mask, int64_t k,
+                           const int64_t* records, size_t count,
+                           CellBuildScratch& scratch, bool keep_lists);
+  // Copies records into a fresh leaf block of side `block_side`.
+  void FillRawBlock(MdArray<int64_t>* raw, int64_t block_side,
+                    const int64_t* records, size_t count);
+  // Appends the line-sum lists of the box of side k holding `records`
+  // (projected, ordered and coalesced directly).
+  void AppendLeafLists(const int64_t* records, size_t count, int64_t k,
+                       CellBuildScratch& scratch) const;
+  // Replaces the lists of a node's boxes (side k) on the pool with the
+  // lists of the whole node region.
+  void MergeBoxLists(int64_t k, size_t lists_base,
+                     CellBuildScratch& scratch) const;
   int64_t PrefixSumRec(const Node* node, int64_t node_side,
                        const Cell& offset_in_node) const;
   // Batched descent: accumulates every item's per-box contributions at this
@@ -286,9 +344,14 @@ class DdcCore {
 
   int64_t NodeStorage(const Node* node, int64_t node_side) const;
   void NodeStats(const Node* node, int64_t node_side, DdcStats* stats) const;
+  // `anchor` is the node's corner (restored on return); `cell` is the
+  // scratch every reported cell is written into.
   void NodeForEachNonZero(
-      const Node* node, int64_t node_side, const Cell& node_anchor,
+      const Node* node, int64_t node_side, Cell& anchor, Cell& cell,
       const std::function<void(const Cell&, int64_t)>& fn) const;
+  void BlockForEachNonZero(
+      const MdArray<int64_t>& raw, int64_t block_side, const Cell& anchor,
+      Cell& cell, const std::function<void(const Cell&, int64_t)>& fn) const;
 
   // Registry handles for the process-wide mirrors of the three counts
   // (resolved once; see op_counter.h for the OpCounters/registry split).

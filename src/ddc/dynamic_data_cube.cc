@@ -161,7 +161,29 @@ std::unique_ptr<DynamicDataCube> DynamicDataCube::FromArray(
   const Coord side = shape.extent(0);
   for (int i = 1; i < dims; ++i) DDC_CHECK(shape.extent(i) == side);
   auto cube = std::make_unique<DynamicDataCube>(dims, side, options);
-  cube->core_->BuildFromArray(array);
+  std::vector<int64_t> records;
+  array.ForEach([&](const Cell& cell, const int64_t& value) {
+    if (value == 0) return;
+    records.insert(records.end(), cell.begin(), cell.end());
+    records.push_back(value);
+  });
+  cube->core_->BuildFromCells(std::move(records));
+  return cube;
+}
+
+std::unique_ptr<DynamicDataCube> DynamicDataCube::FromRecords(
+    int dims, int64_t side, DdcOptions options, Cell origin,
+    std::vector<int64_t> records) {
+  auto cube = std::make_unique<DynamicDataCube>(dims, side, options,
+                                                std::move(origin));
+  const size_t stride = static_cast<size_t>(dims) + 1;
+  DDC_CHECK(records.size() % stride == 0);
+  for (size_t at = 0; at < records.size(); at += stride) {
+    for (size_t i = 0; i < static_cast<size_t>(dims); ++i) {
+      records[at + i] -= cube->origin_[i];  // BuildFromCells checks bounds.
+    }
+  }
+  cube->core_->BuildFromCells(std::move(records));
   return cube;
 }
 
@@ -192,9 +214,14 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin,
   auto new_core = std::make_unique<DdcCore>(dims_, new_side, options_,
                                             CountersPtr(), new_arena.get());
   const Cell shift = CellSub(origin_, new_origin);
+  std::vector<int64_t> records;
   core_->ForEachNonZero([&](const Cell& local, int64_t value) {
-    new_core->Add(CellAdd(local, shift), value);
+    for (size_t i = 0; i < local.size(); ++i) {
+      records.push_back(local[i] + shift[i]);
+    }
+    records.push_back(value);
   });
+  new_core->BuildFromCells(std::move(records));
   core_ = std::move(new_core);    // Retires the old core first...
   arena_ = std::move(new_arena);  // ...then drops its backing arena.
   ReattachListener();
@@ -504,14 +531,11 @@ void DynamicDataCube::RebuildOverlay(int64_t new_side,
   std::vector<std::unique_ptr<DdcCore>> new_trees;
   const uint32_t num_trees = 1u << dims_;
   new_trees.reserve(num_trees);
-  std::vector<Cell> cells;
-  std::vector<int64_t> deltas;
   for (uint32_t t = 0; t < num_trees; ++t) {
     new_trees.push_back(std::make_unique<DdcCore>(dims_, new_side, options_,
                                                   /*counters=*/nullptr,
                                                   new_arena.get()));
-    cells.clear();
-    deltas.clear();
+    std::vector<int64_t> records;
     for (const auto& [global, d_delta] : overlay_->corners) {
       Cell local = CellSub(global, new_origin);
       bool in_domain = true;
@@ -526,10 +550,10 @@ void DynamicDataCube::RebuildOverlay(int64_t new_side,
       if (!in_domain) continue;
       const int64_t w = CornerWeight(t, local) * d_delta;
       if (w == 0) continue;
-      cells.push_back(std::move(local));
-      deltas.push_back(w);
+      records.insert(records.end(), local.begin(), local.end());
+      records.push_back(w);
     }
-    if (!cells.empty()) new_trees.back()->AddBatch(cells, deltas);
+    new_trees.back()->BuildFromCells(std::move(records));
   }
   overlay_->trees = std::move(new_trees);
   overlay_->arena = std::move(new_arena);

@@ -7,10 +7,10 @@
 // domain trigger growth: the side doubles, moving the origin toward the new
 // cell, until the cell fits. Growth direction is chosen per dimension from
 // the data, not a priori — the star-catalog behaviour the paper motivates.
-// Re-rooting re-inserts only the nonzero cells (lazy structure), so growing
-// a sparse cube costs O(nnz * polylog) per doubling and empty space costs
-// nothing, in contrast to the prefix-sum methods which must materialize and
-// recompute the full bounding box (Figure 16).
+// Re-rooting bulk-builds the new tree from the nonzero cells only (lazy
+// structure), so growing a sparse cube costs O(nnz * polylog) per doubling
+// and empty space costs nothing, in contrast to the prefix-sum methods
+// which must materialize and recompute the full bounding box (Figure 16).
 //
 // Range mutations (DESIGN.md §12): RangeAdd(box, v) is sublinear in the
 // box. The box decomposes into 2^d signed corner deltas (the d-dimensional
@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/cube_interface.h"
 #include "common/cube_lifecycle.h"
@@ -57,11 +58,20 @@ class DynamicDataCube : public CubeInterface {
   // Out-of-line: RangeOverlay is an incomplete type here.
   ~DynamicDataCube() override;
 
-  // Bulk-builds a cube from a dense array in one bottom-up pass (each
-  // stored value written once). The array must be a power-of-two cube of
-  // side >= 2; the resulting domain is anchored at the origin.
+  // Bulk-builds a cube from a dense array: its nonzero cells go through
+  // DdcCore::BuildFromCells (each stored value written once). The array
+  // must be a power-of-two cube of side >= 2; the resulting domain is
+  // anchored at the origin.
   static std::unique_ptr<DynamicDataCube> FromArray(
       const MdArray<int64_t>& array, DdcOptions options = {});
+
+  // Bulk-builds a cube over the domain [origin, origin + side) from
+  // `records`: dims coordinates (global, every cell inside the domain)
+  // followed by the value, record after record. Order is free and repeated
+  // cells sum, as a loop of Add would (see DdcCore::BuildFromCells).
+  static std::unique_ptr<DynamicDataCube> FromRecords(
+      int dims, int64_t side, DdcOptions options, Cell origin,
+      std::vector<int64_t> records);
 
   int dims() const override { return dims_; }
   Cell DomainLo() const override { return origin_; }
@@ -181,10 +191,10 @@ class DynamicDataCube : public CubeInterface {
   }
   void ReattachListener();
   // The one re-root body: rebuilds the tree into a fresh arena+core of
-  // `new_side` anchored at `new_origin`, re-inserting every nonzero cell,
-  // then swaps the pair in (retiring the old tree wholesale), restores the
-  // node-visit listener, and fires lifecycle().Notify. Growth and both
-  // shrink paths funnel through here.
+  // `new_side` anchored at `new_origin` by one bulk build over the shifted
+  // nonzero cells, then swaps the pair in (retiring the old tree
+  // wholesale), restores the node-visit listener, and fires
+  // lifecycle().Notify. Growth and both shrink paths funnel through here.
   void ReRootInto(int64_t new_side, Cell new_origin, ReRootReason reason);
 
   // Applies one range-add whose box already lies inside the domain:

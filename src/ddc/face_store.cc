@@ -71,27 +71,22 @@ int64_t FaceStore::StorageCells() const {
   return fenwick_->StorageCells();
 }
 
-void FaceStore::BuildFromDense(const MdArray<int64_t>& line_sums) {
+void FaceStore::BuildFromSorted(const int64_t* entries, size_t count,
+                                CellBuildScratch& scratch) {
+  if (count == 0) return;
   if (nested_ != nullptr) {
-    nested_->BuildFromArray(line_sums);
+    nested_->BuildFromSortedCells(entries, count, scratch);
     return;
   }
-  DDC_CHECK(line_sums.dims() == 1);
   if (bc_ != nullptr) {
-    std::vector<int64_t> values(
-        static_cast<size_t>(line_sums.shape().extent(0)));
-    for (int64_t i = 0; i < line_sums.size(); ++i) {
-      values[static_cast<size_t>(i)] = line_sums.at_linear(i);
-    }
-    bc_->BuildFrom(values);
+    bc_->BuildFromSorted({entries, 2 * count});
     return;
   }
-  // Fenwick: one O(capacity) propagation pass instead of a loop of
-  // O(log capacity) Adds.
-  std::vector<int64_t> values(
-      static_cast<size_t>(line_sums.shape().extent(0)));
-  for (int64_t i = 0; i < line_sums.size(); ++i) {
-    values[static_cast<size_t>(i)] = line_sums.at_linear(i);
+  // A Fenwick tree stores its whole capacity anyway, so the pairs scatter
+  // into one O(capacity) propagation pass.
+  std::vector<int64_t> values(static_cast<size_t>(fenwick_->capacity()));
+  for (size_t q = 0; q < count; ++q) {
+    values[static_cast<size_t>(entries[2 * q])] = entries[2 * q + 1];
   }
   fenwick_->BuildFrom(values);
 }

@@ -36,7 +36,6 @@
 
 #include "common/arena.h"
 #include "common/cell.h"
-#include "common/md_array.h"
 #include "common/op_counter.h"
 #include "ddc/ddc_options.h"
 
@@ -45,6 +44,7 @@ namespace ddc {
 class BcTree;
 class DdcCore;
 class FenwickTree;
+struct CellBuildScratch;
 
 class FaceStore {
  public:
@@ -80,10 +80,13 @@ class FaceStore {
 
   int64_t StorageCells() const;
 
-  // Bulk-builds the store from the dense line-sum array G_j (shape: d-1
-  // dimensions of extent `side`). The store must be empty. Used by the
-  // bottom-up bulk loader.
-  void BuildFromDense(const MdArray<int64_t>& line_sums);
+  // Bulk-builds the empty store from `count` line sums G_j, each d-1
+  // transverse coordinates followed by the sum, in the builder order of
+  // DdcCore::BuildFromCells (ascending position for a 1-D face), distinct
+  // and nonzero. A B_c face touches only the nonzero leaves; a nested face
+  // recurses into DdcCore::BuildFromSortedCells with the same scratch.
+  void BuildFromSorted(const int64_t* entries, size_t count,
+                       CellBuildScratch& scratch);
 
  private:
   // Exactly one is set after Init: bc_ (1-D faces), fenwick_ (1-D ablation),

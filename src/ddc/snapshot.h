@@ -2,19 +2,20 @@
 //
 // The cube's logical content is fully determined by its nonzero cells, so a
 // snapshot is a compact, versioned binary stream of (cell, value) records
-// plus the domain geometry and options. Loading replays the records through
-// Add — reconstruction cost is O(nnz * polylog), and the loaded cube is
-// bit-identical in answers (though not necessarily in internal layout,
-// which depends on insertion order only for allocation, not for values).
+// plus the domain geometry and options. Loading decodes the record section
+// and bulk-builds the cube once (DynamicDataCube::FromRecords), so the
+// loaded cube answers exactly as the saved one; record order is free and
+// repeated records sum. See docs/SNAPSHOT_FORMAT.md.
 //
 // Format (little-endian, fixed-width):
-//   magic "DDCSNAP1" (8 bytes)
+//   magic "DDCSNAP2" (8 bytes)
 //   int32  dims
 //   int64  side
 //   int64  origin[dims]
-//   int32  bc_fanout, int8 use_fenwick, int32 elide_levels
+//   int32  bc_fanout, int8 use_fenwick, int8 bc_dense, int32 elide_levels
 //   int64  record_count
 //   record_count x { int64 cell[dims]; int64 value; }
+// DDCSNAP1 files (no bc_dense byte) still load, with bc_dense off.
 
 #ifndef DDC_DDC_SNAPSHOT_H_
 #define DDC_DDC_SNAPSHOT_H_

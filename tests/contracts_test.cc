@@ -40,7 +40,14 @@ TEST(ContractsDeathTest, BcTreeRejectsOutOfRangeIndex) {
 TEST(ContractsDeathTest, BcTreeBulkBuildRequiresEmptyTree) {
   BcTree tree(8, 4);
   tree.Add(0, 1);
-  EXPECT_DEATH(tree.BuildFrom({1, 2, 3}), "DDC_CHECK");
+  EXPECT_DEATH(tree.BuildFromSorted(std::vector<int64_t>{1, 2}), "DDC_CHECK");
+}
+
+TEST(ContractsDeathTest, BcTreeBulkBuildRejectsUnsortedOrOutOfRange) {
+  BcTree tree(8, 4);
+  EXPECT_DEATH(tree.BuildFromSorted(std::vector<int64_t>{3, 1, 2, 1}),
+               "DDC_CHECK");
+  EXPECT_DEATH(tree.BuildFromSorted(std::vector<int64_t>{8, 1}), "DDC_CHECK");
 }
 
 TEST(ContractsDeathTest, DdcRejectsNonPowerOfTwoSide) {

@@ -67,23 +67,41 @@ TEST_P(FaceStoreTest, MatchesReferenceOnRandomOps) {
   }
 }
 
-TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
+TEST_P(FaceStoreTest, BuildFromCellsMatchesIncremental) {
   const FaceParam p = GetParam();
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
   const Shape shape = Shape::Cube(p.transverse_dims, p.side);
-  MdArray<int64_t> dense(shape);
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<int64_t> value(-5, 5);
-  dense.ForEach([&](const Cell&, int64_t& v) { v = value(rng); });
-
-  auto bulk = FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
-  bulk->BuildFromDense(dense);
+  std::vector<int64_t> records;
   auto incremental =
       FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
-  dense.ForEach([&](const Cell& c, const int64_t& v) {
-    if (v != 0) incremental->Add(c, v);
-  });
+  Cell c(static_cast<size_t>(p.transverse_dims), 0);
+  do {
+    const int64_t v = value(rng);
+    if (v == 0) continue;
+    records.insert(records.end(), c.begin(), c.end());
+    records.push_back(v);
+    incremental->Add(c, v);
+  } while (shape.NextCell(&c));
+
+  // A 1-D face takes ascending (position, sum) pairs directly; a nested
+  // face takes cells in its core's builder order, which a throwaway core's
+  // ordering pass produces.
+  auto bulk = FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
+  if (p.transverse_dims > 1) {
+    DdcCore order(p.transverse_dims, p.side, options, nullptr);
+    order.BuildFromCells(records);
+    records.clear();
+    order.ForEachNonZero([&](const Cell& cell, int64_t v) {
+      records.insert(records.end(), cell.begin(), cell.end());
+      records.push_back(v);
+    });
+  }
+  CellBuildScratch scratch(p.transverse_dims);
+  bulk->BuildFromSorted(records.data(), records.size() / (c.size() + 1),
+                        scratch);
 
   Cell probe(static_cast<size_t>(p.transverse_dims), 0);
   do {

@@ -205,15 +205,20 @@ TEST(BcTreeDifferential, SparseLazySubtreesStayLazyAndExact) {
   EXPECT_TRUE(tree.CheckInvariants());
 }
 
-TEST(BcTreeDifferential, BuildFromMatchesIncremental) {
+TEST(BcTreeDifferential, BuildFromSortedMatchesIncremental) {
   std::mt19937_64 rng(11);
   std::uniform_int_distribution<int64_t> values(-100, 100);
   for (int fanout : {3, 8, 16}) {
     for (int64_t capacity : {int64_t{17}, int64_t{256}, int64_t{1000}}) {
       std::vector<int64_t> dense(static_cast<size_t>(capacity));
       for (auto& v : dense) v = values(rng);
+      std::vector<int64_t> pairs;
+      for (int64_t i = 0; i < capacity; ++i) {
+        const int64_t v = dense[static_cast<size_t>(i)];
+        if (v != 0) pairs.insert(pairs.end(), {i, v});
+      }
       BcTree built(capacity, fanout);
-      built.BuildFrom(dense);
+      built.BuildFromSorted(pairs);
       BcTree incremental(capacity, fanout);
       for (int64_t i = 0; i < capacity; ++i) {
         incremental.Add(i, dense[static_cast<size_t>(i)]);

@@ -1,7 +1,7 @@
 // ddctool command implementations, separated from main() so the test suite
 // can drive them directly.
 //
-// Commands (cube files are DDCSNAP1 snapshots, see ddc/snapshot.h):
+// Commands (cube files are DDCSNAP2 snapshots, see ddc/snapshot.h):
 //   ddctool create  --dims D [--side S] [--fanout F] [--elide H] OUT
 //   ddctool load    --dims D [--side S] --csv IN OUT
 //   ddctool add     CUBE c1 c2 ... cd value
