@@ -1,5 +1,5 @@
 // Query-result cache benchmark: the perf side of the CachedCube PR
-// (DESIGN.md §16). For each geometry we replay the same skewed read
+// (DESIGN.md §15). For each geometry we replay the same skewed read
 // sweep two ways —
 //   uncached : DynamicDataCube::RangeSum per query (the pre-cache path),
 //   cached   : CachedCube::RangeSum over an identical backend, warmed by

@@ -9,29 +9,30 @@
 // at 0% updates (PS), who wins at 100% (naive), and where the DDC dominates
 // (everything in between) is the reproduced shape.
 
-// Part 2 (below the paper sweep): concurrent throughput of the coarse
-// ConcurrentCube versus the shared-nothing ShardedCube (per-shard owner
-// threads fed by SPSC mailboxes) across threads×shards, on a read-heavy
-// (95/5) and a write-heavy (50/50) mix, plus the batched write path.
-// Results are printed as tables and written to BENCH_throughput.json
-// (override the path with DDC_BENCH_JSON).
+// Part 2 (below the paper sweep): concurrent throughput of the
+// ConcurrentCube facade across thread counts, on a read-heavy (95/5) and a
+// write-heavy (50/50) mix, with point writes (`coarse`: one exclusive lock
+// per Add) and with batched writes (`coarse_batched`: one ApplyBatch, i.e.
+// one exclusive lock, per kWriteBatch adds). Results are printed as tables
+// and written to BENCH_throughput.json (override the path with
+// DDC_BENCH_JSON).
 //
-// Honesty rule: the sharded-vs-coarse speedup is a scaling claim, and a
-// single-hardware-thread host cannot measure scaling — every curve is a
-// pure scheduling artifact there. On such hosts the speedup keys are
-// omitted entirely and the JSON carries "gate_skipped": true instead; the
-// regression gate (tools/check_bench_regression.py --skip-if-key) turns
-// that into a ctest SKIP rather than a green "passed" that asserted
-// nothing. Setting DDC_BENCH_SMOKE shrinks the sweep for the
+// Honesty rule: the batched-vs-point speedup is a contention claim, and a
+// single-hardware-thread host cannot measure contention — every
+// multi-thread curve is a pure scheduling artifact there. On such hosts the
+// speedup keys are omitted entirely and the JSON carries "gate_skipped":
+// true instead; the regression gate (tools/check_bench_regression.py
+// --skip-if-key) turns that into a ctest SKIP rather than a green "passed"
+// that asserted nothing. Setting DDC_BENCH_SMOKE shrinks the sweep for the
 // `bench_smoke_throughput` gate; in smoke mode on a multi-core host the
-// binary also enforces the sharded>=coarse floor itself (nonzero exit).
+// binary also enforces the coarse_batched>=coarse floor on the write-heavy
+// mix itself (nonzero exit).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +41,6 @@
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "prefix/prefix_sum_cube.h"
@@ -146,20 +146,12 @@ void RunMixSweep(int64_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 2: threads × shards scaling, coarse vs sharded vs sharded+batched.
+// Part 2: thread scaling of the concurrent facade, point vs batched writes.
 
-enum class Impl { kCoarse, kSharded, kShardedBatched };
+enum class Impl { kCoarse, kCoarseBatched };
 
 const char* ImplName(Impl impl) {
-  switch (impl) {
-    case Impl::kCoarse:
-      return "coarse";
-    case Impl::kSharded:
-      return "sharded";
-    case Impl::kShardedBatched:
-      return "sharded_batched";
-  }
-  return "?";
+  return impl == Impl::kCoarse ? "coarse" : "coarse_batched";
 }
 
 struct TraceOp {
@@ -171,9 +163,12 @@ struct TraceOp {
 
 constexpr int kConcDims = 2;
 constexpr size_t kWriteBatch = 32;
-// Queries sized to usually fit inside one slab at S=8, the locality a
-// partitioned deployment would aim for.
+// Small query boxes (8% of the side per dimension), so a read holds the
+// shared lock for about as long as a write holds the exclusive one.
 constexpr double kQuerySideFraction = 0.08;
+// The gated mix: half the operations are writes, where the exclusive lock
+// is contended and batching has the most to win.
+constexpr double kGateUpdateFraction = 0.5;
 
 // Sweep sizes; smoke mode shrinks everything so the whole concurrency
 // sweep finishes in seconds (the bench_smoke_throughput ctest gate runs it
@@ -209,25 +204,13 @@ std::vector<TraceOp> MakeTrace(const ConcParams& params,
 
 // One timed run on a fresh, identically pre-populated cube. Returns ops/sec
 // aggregated over all threads.
-double MeasureConcurrentTput(const ConcParams& params, Impl impl,
-                             int num_shards, int threads,
+double MeasureConcurrentTput(const ConcParams& params, Impl impl, int threads,
                              double update_fraction, uint64_t seed) {
-  std::unique_ptr<ConcurrentCube> coarse;
-  std::unique_ptr<ShardedCube> sharded;
-  if (impl == Impl::kCoarse) {
-    coarse = std::make_unique<ConcurrentCube>(kConcDims, params.side);
-  } else {
-    sharded =
-        std::make_unique<ShardedCube>(kConcDims, params.side, num_shards);
-  }
+  ConcurrentCube cube(kConcDims, params.side);
   WorkloadGenerator seed_gen(Shape::Cube(kConcDims, params.side), 1);
   for (const UpdateOp& op :
        seed_gen.UniformUpdates(params.prepopulate, 1, 9)) {
-    if (coarse) {
-      coarse->Add(op.cell, op.delta);
-    } else {
-      sharded->Add(op.cell, op.delta);
-    }
+    cube.Add(op.cell, op.delta);
   }
 
   std::vector<std::vector<TraceOp>> traces;
@@ -248,28 +231,19 @@ double MeasureConcurrentTput(const ConcParams& params, Impl impl,
       std::vector<UpdateOp> batch;
       batch.reserve(kWriteBatch);
       for (const TraceOp& op : traces[static_cast<size_t>(t)]) {
-        if (op.is_update) {
-          switch (impl) {
-            case Impl::kCoarse:
-              coarse->Add(op.cell, op.delta);
-              break;
-            case Impl::kSharded:
-              sharded->Add(op.cell, op.delta);
-              break;
-            case Impl::kShardedBatched:
-              batch.push_back({op.cell, op.delta, UpdateKind::kAdd});
-              if (batch.size() >= kWriteBatch) {
-                sharded->ApplyBatch(batch);
-                batch.clear();
-              }
-              break;
-          }
+        if (!op.is_update) {
+          local += cube.RangeSum(op.box);
+        } else if (impl == Impl::kCoarse) {
+          cube.Add(op.cell, op.delta);
         } else {
-          local += coarse ? coarse->RangeSum(op.box)
-                          : sharded->RangeSum(op.box);
+          batch.push_back({op.cell, op.delta, UpdateKind::kAdd});
+          if (batch.size() >= kWriteBatch) {
+            cube.ApplyBatch(batch);
+            batch.clear();
+          }
         }
       }
-      if (!batch.empty()) sharded->ApplyBatch(batch);
+      if (!batch.empty()) cube.ApplyBatch(batch);
       sink.fetch_add(local, std::memory_order_relaxed);
     });
   }
@@ -295,14 +269,14 @@ struct TputStats {
 };
 
 TputStats MeasureConcurrentStats(const ConcParams& params, Impl impl,
-                                 int num_shards, int threads,
-                                 double update_fraction, uint64_t seed) {
-  (void)MeasureConcurrentTput(params, impl, num_shards, threads,
-                              update_fraction, seed);  // Warmup, discarded.
+                                 int threads, double update_fraction,
+                                 uint64_t seed) {
+  (void)MeasureConcurrentTput(params, impl, threads, update_fraction,
+                              seed);  // Warmup, discarded.
   std::vector<double> reps;
   reps.reserve(static_cast<size_t>(params.reps));
   for (int r = 0; r < params.reps; ++r) {
-    reps.push_back(MeasureConcurrentTput(params, impl, num_shards, threads,
+    reps.push_back(MeasureConcurrentTput(params, impl, threads,
                                          update_fraction, seed + 977u * r));
   }
   std::sort(reps.begin(), reps.end());
@@ -315,7 +289,6 @@ TputStats MeasureConcurrentStats(const ConcParams& params, Impl impl,
 
 struct CurvePoint {
   Impl impl;
-  int shards;
   int threads;
   double update_fraction;
   TputStats tput;
@@ -331,28 +304,16 @@ int RunConcurrencySweep(bool smoke) {
       smoke ? " [smoke]" : "");
 
   const std::vector<int> thread_counts = {1, 2, 4, 8};
-  struct Config {
-    Impl impl;
-    int shards;
-  };
-  const std::vector<Config> configs = {{Impl::kCoarse, 1},
-                                       {Impl::kSharded, 2},
-                                       {Impl::kSharded, 4},
-                                       {Impl::kSharded, 8},
-                                       {Impl::kShardedBatched, 8}};
-
   std::vector<CurvePoint> curve;
-  for (double frac : {0.05, 0.5}) {
+  for (double frac : {0.05, kGateUpdateFraction}) {
     std::printf("-- update fraction %.0f%% --\n", frac * 100.0);
-    TablePrinter table({"impl", "shards", "1 thr", "2 thr", "4 thr", "8 thr"});
-    for (const Config& config : configs) {
-      std::vector<std::string> row = {ImplName(config.impl),
-                                      std::to_string(config.shards)};
+    TablePrinter table({"impl", "1 thr", "2 thr", "4 thr", "8 thr"});
+    for (Impl impl : {Impl::kCoarse, Impl::kCoarseBatched}) {
+      std::vector<std::string> row = {ImplName(impl)};
       for (int threads : thread_counts) {
-        const TputStats tput = MeasureConcurrentStats(
-            params, config.impl, config.shards, threads, frac, 1234);
-        curve.push_back(
-            {config.impl, config.shards, threads, frac, tput});
+        const TputStats tput =
+            MeasureConcurrentStats(params, impl, threads, frac, 1234);
+        curve.push_back({impl, threads, frac, tput});
         row.push_back(TablePrinter::FormatDouble(tput.median, 0));
       }
       table.AddRow(row);
@@ -361,11 +322,11 @@ int RunConcurrencySweep(bool smoke) {
     std::printf("\n");
   }
 
-  // Scaling headline — only when the hardware can actually scale. On a
-  // single-hardware-thread host every multi-thread curve is a scheduling
-  // artifact (the threads time-slice one core), so printing a "speedup"
-  // would be measuring the scheduler, not the cube. In that case the
-  // speedup keys are omitted and the JSON says so via "gate_skipped".
+  // Speedup headline — only when the hardware can actually run threads in
+  // parallel. On a single-hardware-thread host every multi-thread curve is
+  // a scheduling artifact (the threads time-slice one core), so printing a
+  // "speedup" would be measuring the scheduler, not the lock. In that case
+  // the speedup keys are omitted and the JSON says so via "gate_skipped".
   const int max_threads =
       *std::max_element(thread_counts.begin(), thread_counts.end());
   const bool gate_skipped = hardware <= 1;
@@ -377,28 +338,24 @@ int RunConcurrencySweep(bool smoke) {
     if (t <= hardware && t > gate_threads) gate_threads = t;
   }
 
-  double coarse_8t = 0, sharded_8t = 0, coarse_gate = 0, sharded_gate = 0;
+  double coarse_max = 0, batched_max = 0, coarse_gate = 0, batched_gate = 0;
   for (const CurvePoint& p : curve) {
-    if (p.update_fraction != 0.05) continue;
-    if (p.impl == Impl::kCoarse) {
-      if (p.threads == max_threads) coarse_8t = p.tput.median;
-      if (p.threads == gate_threads) coarse_gate = p.tput.median;
-    }
-    if (p.impl == Impl::kSharded && p.shards == 8) {
-      if (p.threads == max_threads) sharded_8t = p.tput.median;
-      if (p.threads == gate_threads) sharded_gate = p.tput.median;
-    }
+    if (p.update_fraction != kGateUpdateFraction) continue;
+    double& at_max = p.impl == Impl::kCoarse ? coarse_max : batched_max;
+    double& at_gate = p.impl == Impl::kCoarse ? coarse_gate : batched_gate;
+    if (p.threads == max_threads) at_max = p.tput.median;
+    if (p.threads == gate_threads) at_gate = p.tput.median;
   }
-  const double speedup = coarse_8t > 0 ? sharded_8t / coarse_8t : 0;
+  const double speedup = coarse_max > 0 ? batched_max / coarse_max : 0;
   const double gate_speedup =
-      coarse_gate > 0 ? sharded_gate / coarse_gate : 0;
+      coarse_gate > 0 ? batched_gate / coarse_gate : 0;
   if (gate_skipped) {
     std::printf(
-        "scaling GATE SKIPPED: 1 hardware thread — multi-thread curves "
+        "contention GATE SKIPPED: 1 hardware thread — multi-thread curves "
         "above are time-sliced, no speedup claim is made\n\n");
   } else {
     std::printf(
-        "read-heavy (95/5) %d-thread speedup, sharded S=8 vs coarse: "
+        "write-heavy (50/50) %d-thread speedup, coarse_batched vs coarse: "
         "%.2fx (gate at %d threads: %.2fx)\n\n",
         max_threads, speedup, gate_threads, gate_speedup);
   }
@@ -439,20 +396,20 @@ int RunConcurrencySweep(bool smoke) {
     std::fprintf(out, "  \"gate_skipped\": true,\n");
   } else {
     std::fprintf(out,
-                 "  \"read_heavy_speedup_%dt_s8_vs_coarse\": %.3f,\n"
+                 "  \"write_heavy_speedup_%dt_batched_vs_coarse\": %.3f,\n"
                  "  \"gate_threads\": %d,\n"
-                 "  \"gate_speedup_s8_vs_coarse\": %.3f,\n",
+                 "  \"gate_speedup_batched_vs_coarse\": %.3f,\n",
                  max_threads, speedup, gate_threads, gate_speedup);
   }
   std::fprintf(out, "  \"curves\": [\n");
   for (size_t i = 0; i < curve.size(); ++i) {
     const CurvePoint& p = curve[i];
     std::fprintf(out,
-                 "    {\"impl\": \"%s\", \"shards\": %d, \"threads\": %d, "
+                 "    {\"impl\": \"%s\", \"threads\": %d, "
                  "\"update_fraction\": %.2f, \"ops_per_sec\": %.1f, "
                  "\"ops_per_sec_min\": %.1f, \"ops_per_sec_p99\": %.1f, "
                  "\"reps\": %d, \"oversubscribed\": %s}%s\n",
-                 ImplName(p.impl), p.shards, p.threads, p.update_fraction,
+                 ImplName(p.impl), p.threads, p.update_fraction,
                  p.tput.median, p.tput.min, p.tput.p99, params.reps,
                  p.threads > hardware ? "true" : "false",
                  i + 1 == curve.size() ? "" : ",");
@@ -462,13 +419,13 @@ int RunConcurrencySweep(bool smoke) {
   std::printf("wrote %s\n", json_path);
 
   // Acceptance floor, enforced where the regression gate can see it: with
-  // real parallelism available, the shared-nothing executor must at least
-  // match the coarse global lock on the read-heavy mix at the widest
-  // parallel thread count. Smoke-only so a full run stays a measurement.
+  // real parallelism available, batching writes must at least match point
+  // writes on the write-heavy mix at the widest parallel thread count.
+  // Smoke-only so a full run stays a measurement.
   if (smoke && !gate_skipped && gate_speedup < 1.0) {
     std::fprintf(stderr,
-                 "FAIL: read-heavy sharded S=8 vs coarse at %d threads is "
-                 "%.2fx, below the 1.0x floor\n",
+                 "FAIL: write-heavy coarse_batched vs coarse at %d threads "
+                 "is %.2fx, below the 1.0x floor\n",
                  gate_threads, gate_speedup);
     return 1;
   }

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "concurrent/sharded_cube.h"
-#include "concurrent/sharded_cube_adapter.h"
 #include "ddc/dynamic_data_cube.h"
 #include "fault/failpoint.h"
 #include "obs/introspect.h"
@@ -16,7 +14,7 @@ namespace ddc {
 
 namespace {
 
-// Registry mirrors of the per-instance CacheStats fields (DESIGN.md §16;
+// Registry mirrors of the per-instance CacheStats fields (DESIGN.md §15;
 // the reserved cache.* family). Counters aggregate across every CachedCube
 // in the process; the per-instance numbers live in Stats().
 obs::Counter& HitsCounter() {
@@ -88,15 +86,6 @@ CachedCube::CachedCube(DynamicDataCube* cube, CachedCubeOptions options)
         domain_stale_ = true;
         ++gen_;
       });
-}
-
-CachedCube::CachedCube(ShardedCube* cube, CachedCubeOptions options)
-    : sharded_(cube),
-      adapter_(std::make_unique<ShardedCubeAdapter>(cube)),
-      dims_(cube->dims()) {
-  inner_ = adapter_.get();
-  last_reroots_ = cube->TotalReRoots();
-  Init(options);
 }
 
 CachedCube::CachedCube(CubeInterface* cube, CachedCubeOptions options)
@@ -589,14 +578,6 @@ void CachedCube::WriteEpilogue() {
   std::lock_guard<std::mutex> lock(mu_);
   --pending_writers_;
   ++gen_;
-  if (sharded_ != nullptr) {
-    const int64_t reroots = sharded_->TotalReRoots();
-    if (reroots != last_reroots_) {
-      last_reroots_ = reroots;
-      FlushLocked();
-      domain_stale_ = true;
-    }
-  }
 }
 
 void CachedCube::Set(const Cell& cell, int64_t value) {
@@ -721,21 +702,7 @@ CacheStats CachedCube::Stats() const {
 }
 
 void CachedCube::ShrinkToFit(int64_t min_side) {
-  if (ddc_ != nullptr) {
-    ddc_->ShrinkToFit(min_side);  // Lifecycle callback flushes.
-    return;
-  }
-  if (sharded_ != nullptr) {
-    sharded_->ShrinkToFit(min_side);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++gen_;
-    const int64_t reroots = sharded_->TotalReRoots();
-    if (reroots != last_reroots_) {
-      last_reroots_ = reroots;
-      FlushLocked();
-      domain_stale_ = true;
-    }
-  }
+  if (ddc_ != nullptr) ddc_->ShrinkToFit(min_side);  // Callback flushes.
 }
 
 }  // namespace ddc

@@ -10,18 +10,17 @@
 // short critical section instead of a polylog descent.
 //
 // Correctness is carried by precise, mutation-driven invalidation
-// (DESIGN.md §16): every write enters through the unified mutation pipeline
+// (DESIGN.md §15): every write enters through the unified mutation pipeline
 // (Set/Add/RangeAdd/RangeSet/ApplyBatch all reduce to a Mutation span), and
 // *before* the backing cube applies it the cache computes the batch's dirty
 // boxes (common/mutation.h) and evicts exactly the overlapping entries —
 // disjoint entries survive, which the invalidation property suite asserts
 // as an exact eviction count. Structural events flush wholesale: a
 // DynamicDataCube re-root (growth or shrink, observed through its
-// CubeLifecycle hub) or a ShardedCube shard re-root (observed by polling
-// TotalReRoots() after each write) empties the cache and re-snapshots the
-// domain, and so does any batch whose dirty bounds escape the snapshot
-// domain (the write may grow the cube mid-apply, so clip-based keys made
-// before it cannot be trusted afterwards).
+// CubeLifecycle hub) empties the cache and re-snapshots the domain, and so
+// does any batch whose dirty bounds escape the snapshot domain (the write
+// may grow the cube mid-apply, so clip-based keys made before it cannot be
+// trusted afterwards).
 //
 // Self-tuning hot ranges: AdoptHotRanges() pulls the top-K read sketch from
 // obs::WorkloadRecorder and *pins* those boxes. Pinned entries are not
@@ -33,14 +32,14 @@
 //
 // Composition and threading: the wrapper borrows its backing cube. Over a
 // DynamicDataCube it is single-threaded like the cube itself. Over a
-// ShardedCube (via concurrent/sharded_cube_adapter.h) it is fully
-// thread-safe: cache state sits under one mutex, and a pending-writer
-// count plus a generation counter form the insert guard — a miss computed
-// concurrently with any writer or flush is returned to the caller but
-// never inserted, which closes the classic stale-insert race without
-// locking the backing cube's scatter/gather. All writes MUST flow through
-// the wrapper (or be reported via InvalidateBatch); writing to the backing
-// cube directly leaves stale entries by construction.
+// thread-safe CubeInterface it is thread-safe too: cache state sits under
+// one mutex, and a pending-writer count plus a generation counter form the
+// insert guard — a miss computed concurrently with any writer or flush is
+// returned to the caller but never inserted, which closes the classic
+// stale-insert race without holding the cache mutex across the backing
+// cube's descent. All writes MUST flow through the wrapper (or be reported
+// via InvalidateBatch); writing to the backing cube directly leaves stale
+// entries by construction.
 //
 // The cache is never durable: it subscribes to no WAL and is rebuilt cold
 // after a crash/restart — tools/crashloop.sh kills processes mid-
@@ -50,7 +49,6 @@
 #define DDC_CACHE_CACHED_CUBE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -64,8 +62,6 @@
 namespace ddc {
 
 class DynamicDataCube;
-class ShardedCube;
-class ShardedCubeAdapter;
 
 struct CachedCubeOptions {
   // Maximum live entries; at capacity a CLOCK (second-chance) sweep evicts
@@ -97,11 +93,9 @@ class CachedCube : public CubeInterface {
   // Over a DynamicDataCube: subscribes to the cube's CubeLifecycle hub so
   // every re-root flushes the cache. Single-threaded, like the cube.
   explicit CachedCube(DynamicDataCube* cube, CachedCubeOptions options = {});
-  // Over a ShardedCube: owns an internal CubeInterface adapter and detects
-  // shard re-roots by polling TotalReRoots() after each write. Thread-safe.
-  explicit CachedCube(ShardedCube* cube, CachedCubeOptions options = {});
   // Over any other CubeInterface (e.g. NaiveCube as a test oracle): no
   // re-root hook — correct for fixed-domain backends, which never re-root.
+  // Thread-safe when the backing cube is.
   explicit CachedCube(CubeInterface* cube, CachedCubeOptions options = {});
   ~CachedCube() override;
 
@@ -150,8 +144,8 @@ class CachedCube : public CubeInterface {
   // The backing cube behind the common interface (never nullptr).
   const CubeInterface* inner() const { return inner_; }
 
-  // Forwards to the backing cube's shrink (DynamicDataCube / ShardedCube
-  // backends; no-op otherwise). The resulting re-root flushes the cache.
+  // Forwards to the backing cube's shrink (DynamicDataCube backend; no-op
+  // otherwise). The resulting re-root flushes the cache.
   void ShrinkToFit(int64_t min_side = 2);
 
   // While alive on this thread, probes still count hits/misses but misses
@@ -210,8 +204,7 @@ class CachedCube : public CubeInterface {
 
   // Write bracket. Prologue bumps the pending-writer count and runs
   // invalidation *before* the backing apply (apply-first would open a
-  // stale-hit window); epilogue drops it, advances the generation, and
-  // polls a sharded backend for re-roots.
+  // stale-hit window); epilogue drops it and advances the generation.
   void WritePrologue(std::span<const Mutation> batch);
   void WriteEpilogue();
 
@@ -225,8 +218,6 @@ class CachedCube : public CubeInterface {
 
   CubeInterface* inner_ = nullptr;        // Never null after construction.
   DynamicDataCube* ddc_ = nullptr;        // Non-null for the DDC backend.
-  ShardedCube* sharded_ = nullptr;        // Non-null for the sharded backend.
-  std::unique_ptr<ShardedCubeAdapter> adapter_;  // Owned sharded view.
   int dims_ = 0;
   uint64_t lifecycle_token_ = 0;          // DDC backend only.
 
@@ -253,8 +244,6 @@ class CachedCube : public CubeInterface {
   // no writer is pending and the generation is unchanged.
   mutable uint64_t gen_ = 0;
   mutable int64_t pending_writers_ = 0;
-
-  int64_t last_reroots_ = 0;  // Sharded backend re-root poll state.
 
   // Per-batch overlap index, rebuilt at the top of every InvalidateLocked
   // and valid only inside it (kept as members so the scratch capacity

@@ -64,7 +64,7 @@ class CubeInterface {
   // mutations carry 2d coordinates; see BatchWellFormed in
   // common/mutation.h); a malformed batch is a recoverable error, not an
   // abort. Structures that can amortize work across a batch (one shared
-  // tree descent, per-cell delta coalescing, per-shard lock grouping, WAL
+  // tree descent, per-cell delta coalescing, one lock acquisition, WAL
   // group commit) override this; the default is the plain loop.
   virtual bool ApplyBatch(std::span<const Mutation> batch);
 

@@ -2,17 +2,15 @@
 //
 // A Dynamic Data Cube re-roots — rebuilds its tree into a fresh arena —
 // when it grows past its domain or shrinks to fit. Before this hub existed
-// each observer (sharded shard accounting, WAL checkpoint scheduling, obs
-// counters) wired its own bespoke callback into the cube. CubeLifecycle
-// replaces those with a single multi-subscriber hook the owning cube fires
-// after every re-root.
+// each observer (WAL checkpoint scheduling, cache flushes) wired its own
+// bespoke callback into the cube. CubeLifecycle replaces those with a
+// single multi-subscriber hook the owning cube fires after every re-root.
 //
 // Threading: the hub itself is NOT synchronized. Subscribe/Unsubscribe and
 // Notify must be serialized by the owner — in practice all three happen on
-// whatever thread exclusively mutates the cube (for ShardedCube that is the
-// shard's owner thread, where exclusivity is structural; for lock-guarded
-// cubes, the mutating thread under the write lock). Callbacks run inline on
-// that thread and must not call back into the cube that is mid-re-root.
+// whatever thread exclusively mutates the cube (for lock-guarded cubes, the
+// mutating thread under the write lock). Callbacks run inline on that
+// thread and must not call back into the cube that is mid-re-root.
 
 #ifndef DDC_COMMON_CUBE_LIFECYCLE_H_
 #define DDC_COMMON_CUBE_LIFECYCLE_H_

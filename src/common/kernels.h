@@ -19,7 +19,9 @@
 //     opts in with -DDDC_NATIVE=ON on an AVX2 host, portable otherwise.
 //     Integer addition is associative, so every variant returns bit-exact
 //     identical results (wrap-around included) — the dispatch is purely a
-//     performance choice, which the differential tests verify.
+//     performance choice, which the differential tests verify. Every
+//     kernel accumulates in uint64_t, where wrap-around is defined (signed
+//     overflow is not), and casts the total back to int64_t.
 //   * A process-wide runtime switch (`ForceScalar` / `ScopedForceScalar`)
 //     that routes the structure-level fast paths (B_c-tree descents, raw
 //     leaf prefix sums) back to their scalar reference implementations.
@@ -98,9 +100,9 @@ inline void PrefetchRead(const void* p) {
 
 // Reference block sum: one element per iteration, no unrolling.
 DDC_KERNEL_NO_VECTORIZE inline int64_t SumScalar(const int64_t* v, size_t n) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) sum += v[i];
-  return sum;
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += static_cast<uint64_t>(v[i]);
+  return static_cast<int64_t>(sum);
 }
 
 // Reference masked prefix sum: the pre-optimization per-entry compare loop —
@@ -108,9 +110,9 @@ DDC_KERNEL_NO_VECTORIZE inline int64_t SumScalar(const int64_t* v, size_t n) {
 DDC_KERNEL_NO_VECTORIZE inline int64_t MaskedPrefixSumScalar(
     const int64_t* v, size_t fanout, size_t count) {
   (void)fanout;
-  int64_t sum = 0;
-  for (size_t i = 0; i < count; ++i) sum += v[i];
-  return sum;
+  uint64_t sum = 0;
+  for (size_t i = 0; i < count; ++i) sum += static_cast<uint64_t>(v[i]);
+  return static_cast<int64_t>(sum);
 }
 
 // ---------------------------------------------------------------------------
@@ -133,9 +135,10 @@ inline int64_t Sum(const int64_t* v, size_t n) {
   __m128i lo = _mm256_castsi256_si128(acc);
   __m128i hi = _mm256_extracti128_si256(acc, 1);
   __m128i pair = _mm_add_epi64(lo, hi);
-  int64_t sum = _mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1);
-  for (; i < n; ++i) sum += v[i];
-  return sum;
+  uint64_t sum = static_cast<uint64_t>(_mm_cvtsi128_si64(pair)) +
+                 static_cast<uint64_t>(_mm_extract_epi64(pair, 1));
+  for (; i < n; ++i) sum += static_cast<uint64_t>(v[i]);
+  return static_cast<int64_t>(sum);
 }
 
 // AVX2 masked prefix sum over a node of exactly 8 entries (the cache-line
@@ -156,7 +159,9 @@ inline int64_t MaskedPrefixSum8(const int64_t* v, size_t count) {
   __m128i lo = _mm256_castsi256_si128(acc);
   __m128i hi = _mm256_extracti128_si256(acc, 1);
   __m128i pair = _mm_add_epi64(lo, hi);
-  return _mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1);
+  return static_cast<int64_t>(
+      static_cast<uint64_t>(_mm_cvtsi128_si64(pair)) +
+      static_cast<uint64_t>(_mm_extract_epi64(pair, 1)));
 }
 
 #else  // !DDC_KERNELS_AVX2
@@ -164,28 +169,27 @@ inline int64_t MaskedPrefixSum8(const int64_t* v, size_t count) {
 // Portable block sum: 4 independent accumulators so the adds pipeline (and
 // auto-vectorize under -O3); one pass, scalar tail.
 inline int64_t Sum(const int64_t* v, size_t n) {
-  int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+  uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    a0 += v[i];
-    a1 += v[i + 1];
-    a2 += v[i + 2];
-    a3 += v[i + 3];
+    a0 += static_cast<uint64_t>(v[i]);
+    a1 += static_cast<uint64_t>(v[i + 1]);
+    a2 += static_cast<uint64_t>(v[i + 2]);
+    a3 += static_cast<uint64_t>(v[i + 3]);
   }
-  int64_t sum = (a0 + a1) + (a2 + a3);
-  for (; i < n; ++i) sum += v[i];
-  return sum;
+  uint64_t sum = (a0 + a1) + (a2 + a3);
+  for (; i < n; ++i) sum += static_cast<uint64_t>(v[i]);
+  return static_cast<int64_t>(sum);
 }
 
 // Portable branchless masked prefix sum over 8 entries: predication by
 // arithmetic mask instead of a data-dependent loop bound.
 inline int64_t MaskedPrefixSum8(const int64_t* v, size_t count) {
-  const int64_t c = static_cast<int64_t>(count);
-  int64_t sum = 0;
-  for (int64_t i = 0; i < 8; ++i) {
-    sum += v[i] & -static_cast<int64_t>(i < c);
+  uint64_t sum = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    sum += static_cast<uint64_t>(v[i]) & -static_cast<uint64_t>(i < count);
   }
-  return sum;
+  return static_cast<int64_t>(sum);
 }
 
 #endif  // DDC_KERNELS_AVX2
@@ -198,12 +202,11 @@ inline int64_t MaskedPrefixSum(const int64_t* v, size_t fanout, size_t count) {
   if (fanout <= 16) {
     // Small node: predicated whole-node scan — the entries share one or two
     // cache lines, so reading them all is cheaper than mispredicting.
-    const int64_t c = static_cast<int64_t>(count);
-    int64_t sum = 0;
-    for (int64_t i = 0; i < static_cast<int64_t>(fanout); ++i) {
-      sum += v[i] & -static_cast<int64_t>(i < c);
+    uint64_t sum = 0;
+    for (size_t i = 0; i < fanout; ++i) {
+      sum += static_cast<uint64_t>(v[i]) & -static_cast<uint64_t>(i < count);
     }
-    return sum;
+    return static_cast<int64_t>(sum);
   }
   return Sum(v, count);
 }

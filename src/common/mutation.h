@@ -140,8 +140,8 @@ inline bool BatchHasRange(std::span<const Mutation> batch) {
   return false;
 }
 
-// Historical spellings, kept so existing call sites (ShardedCube batches,
-// workload generators, benches) compile unchanged.
+// Historical spellings, kept so existing call sites (workload generators,
+// benches) compile unchanged.
 using UpdateKind = MutationKind;
 using UpdateOp = Mutation;
 

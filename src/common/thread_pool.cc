@@ -121,8 +121,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     Enqueue([&state, drain] {
       if (DDC_FAULTPOINT("pool.task.delay")) {
         // Stall this helper lane only (the caller lane keeps draining):
-        // exercises the uneven-progress paths of ParallelFor users. (The
-        // sharded executor has its own site, "sharded.owner.delay".)
+        // exercises the uneven-progress paths of ParallelFor users.
         std::this_thread::sleep_for(std::chrono::microseconds(
             50 + static_cast<int64_t>(fault::RandBelow(451))));
       }

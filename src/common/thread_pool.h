@@ -5,8 +5,8 @@
 //   1. The caller always participates: ParallelFor pulls indices on the
 //      calling thread too, so progress never depends on a worker being
 //      free. This is what makes it safe to call ParallelFor while holding
-//      shard locks (the sharded fallback path) — a busy or size-1 pool can
-//      never deadlock the caller.
+//      the facade's lock (ConcurrentCube's batched reads and kSet
+//      resolution) — a busy or size-1 pool can never deadlock the caller.
 //   2. Tasks must not block on the pool (no nested ParallelFor from inside
 //      a task); they are pure computations, typically const tree reads.
 //   3. Degrades gracefully: on a single-core host (or n <= 1) the loop runs
@@ -14,7 +14,7 @@
 //      never penalized.
 //
 // The process-wide Shared() pool sizes itself to the hardware and is what
-// the concurrent cubes use; owning a private pool is supported for tests.
+// the concurrent facade uses; owning a private pool is supported for tests.
 
 #ifndef DDC_COMMON_THREAD_POOL_H_
 #define DDC_COMMON_THREAD_POOL_H_

@@ -166,9 +166,8 @@ class DynamicDataCube : public CubeInterface {
   // Lifecycle hub for re-rooting events: every subscriber is notified once
   // per growth doubling (new_side == 2 * old_side) and once per
   // ShrinkToFit rebuild (new_side <= old_side), after the new core is in
-  // place and the old tree's arena has been retired. Sharded facades use
-  // this to account growth per shard; DurableCube uses it to schedule
-  // checkpoints. Callbacks run on the mutating thread — under whatever lock
+  // place and the old tree's arena has been retired. DurableCube uses it
+  // to schedule checkpoints and CachedCube to flush its entries. Callbacks run on the mutating thread — under whatever lock
   // the caller holds — so they must be cheap and must not re-enter the
   // cube (see common/cube_lifecycle.h for the full contract).
   CubeLifecycle& lifecycle() { return lifecycle_; }

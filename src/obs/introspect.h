@@ -4,20 +4,14 @@
 // logical operation (a statement, a batched query, a write batch). The
 // executor installs a ledger on the calling thread with ScopedCostLedger;
 // the instrumented layers (DdcCore's value/node accounting, the corner
-// decomposition in DynamicDataCube::RangeSumBatch, ShardedCube's fan-out)
+// decomposition in DynamicDataCube::RangeSumBatch, the query-result cache)
 // then fold their counts into it at exactly the same sites that mirror into
 // the process-wide metrics registry. Single-threaded, that makes the ledger
 // bit-identical to the registry deltas for the same operation — the
 // contract the EXPLAIN ANALYZE differential test enforces.
 //
-// Threading: the active ledger is a thread-local pointer. Work an operation
-// fans out to OTHER threads (ShardedCube's shard owner threads) cannot fold
-// into the caller's thread-local ledger directly; the sharded layer ships a
-// private CostLedger slot inside each mailbox request, each owner installs
-// it with ScopedCostLedger around the shard work, and the caller merges the
-// slots after gathering completions (counts add, tree_depth takes the max).
-// The decomposition shape (shard groups and sub-queries) is recorded on the
-// calling thread. See DESIGN.md §14–15.
+// Threading: the active ledger is a thread-local pointer, so only work done
+// on the installing thread is attributed to it. See DESIGN.md §14.
 //
 // Zero-cost contract: with -DDDC_OBS=OFF, ActiveLedger() is a constexpr
 // nullptr and every `if (auto* l = obs::ActiveLedger())` site folds away;
@@ -50,9 +44,6 @@ struct CostLedger {
   int64_t corners_deduped = 0;   // Terms collapsed by the dedup map.
   int64_t unique_corners = 0;    // Descents actually paid for.
   int64_t overlay_terms = 0;     // Overlay trees consulted (2^d or 0).
-  // ShardedCube fan-out shape (recorded on the calling thread).
-  int64_t shard_groups = 0;      // Touched shards.
-  int64_t shard_subqueries = 0;  // Slab sub-queries handed to shards.
   // Query-result cache consultation (CachedCube, src/cache). Probes count
   // canonicalized lookups issued; hits the probes answered without touching
   // the backing cube. probes - hits is exactly the misses the statement

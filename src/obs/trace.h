@@ -32,7 +32,7 @@ struct TraceEvent {
   uint64_t end_ns;    // NowNanos() at span destruction.
   uint32_t tid;       // Small sequential id of the recording thread.
   int64_t arg0;       // Two span-tagged payload integers (batch sizes,
-  int64_t arg1;       // shard counts, ...; 0 when unused).
+  int64_t arg1;       // chunk counts, ...; 0 when unused).
 };
 
 // Events each thread's ring retains before overwriting the oldest.

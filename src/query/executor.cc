@@ -286,9 +286,7 @@ void AppendLedger(const obs::CostLedger& ledger, std::ostream& os) {
      << "  corners deduped: " << ledger.corners_deduped << "\n"
      << "  unique corners: " << ledger.unique_corners << "\n"
      << "  overlay trees: " << ledger.overlay_terms << "\n"
-     << "  tree depth: " << ledger.tree_depth << "\n"
-     << "  shard groups: " << ledger.shard_groups << "\n"
-     << "  shard subqueries: " << ledger.shard_subqueries << "\n";
+     << "  tree depth: " << ledger.tree_depth << "\n";
   if (ledger.cache_probes > 0) {
     // Only cache-enabled execution probes; bare cubes keep the golden
     // EXPLAIN ANALYZE output unchanged.

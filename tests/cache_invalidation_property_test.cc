@@ -1,5 +1,5 @@
 // Property wall for precise, mutation-driven cache invalidation
-// (DESIGN.md §16).
+// (DESIGN.md §15).
 //
 // The cache's correctness contract has two halves, and this suite pins both
 // with seeded random trials:

@@ -1,17 +1,18 @@
-// Differential wall for the query-result cache (src/cache, DESIGN.md §16).
+// Differential wall for the query-result cache (src/cache, DESIGN.md §15).
 //
 // A CachedCube must be value-for-value indistinguishable from its backing
 // cube — and from a naive array oracle fed the very same mixed point/range
 // traffic — across every composition: over a DynamicDataCube (lifecycle
-// re-roots flush), over a ShardedCube (thread-safe, re-root polling), and
-// over any plain CubeInterface backend. The suite drives seeded random
-// interleavings of reads and writes (growth-straddling batches included),
-// exercises pinned hot-range patching vs kSet/kRangeSet eviction, and runs
-// a multi-threaded reader/writer mix for the sanitizer builds. Replay any
-// failure with DDC_TEST_SEED=<logged seed>.
+// re-roots flush) and over any plain CubeInterface backend, thread-safe
+// ones included. The suite drives seeded random interleavings of reads and
+// writes (growth-straddling batches included), exercises pinned hot-range
+// patching vs kSet/kRangeSet eviction, and runs a multi-threaded
+// reader/writer mix for the sanitizer builds. Replay any failure with
+// DDC_TEST_SEED=<logged seed>.
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include "common/mutation.h"
 #include "common/range.h"
 #include "common/shape.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "obs/introspect.h"
@@ -345,14 +345,65 @@ TEST(CachedCubeTest, ExplainAnalyzeNeverPopulates) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedCube backend: the concurrent differential (sanitizer payload).
+// Thread-safe backend: the concurrent differential (sanitizer payload).
 
-TEST(CachedCubeTest, ConcurrentReadersAndWritersOverShardedCube) {
+// A DynamicDataCube behind one mutex (each call holds it throughout), so the
+// cache's own synchronisation (its mutex, pending-writer count and
+// generation insert guard) is the only thing under test.
+class LockedCube final : public CubeInterface {
+ public:
+  LockedCube(int dims, Coord side) : cube_(dims, side) {}
+
+  int dims() const override { return cube_.dims(); }
+  Cell DomainLo() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.DomainLo();
+  }
+  Cell DomainHi() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.DomainHi();
+  }
+  void Set(const Cell& cell, int64_t value) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    cube_.Set(cell, value);
+  }
+  void Add(const Cell& cell, int64_t delta) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    cube_.Add(cell, delta);
+  }
+  int64_t Get(const Cell& cell) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.Get(cell);
+  }
+  bool ApplyBatch(std::span<const Mutation> batch) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.ApplyBatch(batch);
+  }
+  int64_t PrefixSum(const Cell& cell) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.PrefixSum(cell);
+  }
+  int64_t RangeSum(const Box& box) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.RangeSum(box);
+  }
+  int64_t StorageCells() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cube_.StorageCells();
+  }
+  std::string name() const override { return "locked(ddc)"; }
+
+ private:
+  mutable std::mutex mu_;
+  DynamicDataCube cube_;
+};
+
+TEST(CachedCubeTest, ConcurrentReadersAndWritersOverThreadSafeCube) {
   const uint64_t seed = TestSeed(991);
   const int dims = 2;
   const Coord side = 32;
-  ShardedCube sharded(dims, side, 4);
-  CachedCube cached(&sharded, CachedCubeOptions{.capacity = 128});
+  LockedCube backend(dims, side);
+  CachedCube cached(&backend, CachedCubeOptions{.capacity = 128});
 
   // Writers use commutative point adds only, so the final state is
   // interleaving-independent and a naive oracle can replay it afterwards.
@@ -409,22 +460,6 @@ TEST(CachedCubeTest, ConcurrentReadersAndWritersOverShardedCube) {
   }
   const CacheStats stats = cached.Stats();
   EXPECT_GT(stats.hits + stats.misses, 0);
-}
-
-TEST(CachedCubeTest, ShardedReRootPollFlushes) {
-  ShardedCube sharded(2, 8, 2);
-  CachedCube cached(&sharded);
-  cached.Add({1, 1}, 6);
-  EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {3, 3}}), 6);
-  ASSERT_GT(cached.Stats().entries, 0);
-
-  // Growth past the slab boundary re-roots a shard; the write epilogue's
-  // TotalReRoots() poll must notice and flush.
-  const int64_t flushes_before = cached.Stats().flushes;
-  cached.Add({31, 31}, 1);
-  EXPECT_GT(cached.Stats().flushes, flushes_before);
-  EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {3, 3}}), 6);
-  EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {31, 31}}), 7);
 }
 
 }  // namespace

@@ -117,8 +117,7 @@ TEST(ConcurrentCubeTest, MixedReadersAndWritersAgreeAtQuiescence) {
 // zero), while another thread's far-out writes force the whole core to be
 // re-rooted again and again. Readers snapshot via ForEachNonZero and must
 // never observe a partial move, and the transaction cells must survive
-// every re-rooting intact. The sharded cube honors the same coarse path
-// per shard (WriteShard), so this pins the contract it inherits.
+// every re-rooting intact.
 TEST(ConcurrentCubeTest, WithExclusiveRacesGrowthReRooting) {
   ConcurrentCube cube(2, 4);
   const Cell kFrom{0, 0};

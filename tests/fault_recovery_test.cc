@@ -27,7 +27,7 @@
 #include "cache/cached_cube.h"
 #include "common/cell.h"
 #include "common/mutation.h"
-#include "concurrent/sharded_cube.h"
+#include "concurrent/concurrent_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "fault/failpoint.h"
 #include "naive/naive_cube.h"
@@ -454,9 +454,9 @@ TEST_F(FaultRecoveryTest, ArmFromSpecParsesTheEnvGrammar) {
   }
 }
 
-TEST_F(FaultRecoveryTest, OwnerDelayLeavesBatchedReadsExact) {
+TEST_F(FaultRecoveryTest, PoolDelayLeavesBatchedReadsExact) {
   fault::SetSeed(TestSeed(15));
-  ShardedCube cube(2, 32, 4);
+  ConcurrentCube cube(2, 32);
   uint64_t rng = 99;
   for (int i = 0; i < 256; ++i) {
     cube.Add({static_cast<Coord>(SplitMix(&rng) % 32),
@@ -464,8 +464,9 @@ TEST_F(FaultRecoveryTest, OwnerDelayLeavesBatchedReadsExact) {
              static_cast<int64_t>(SplitMix(&rng) % 11) - 5);
   }
 
+  // Enough boxes that RangeSumBatch splits them across the pool's lanes.
   std::vector<Box> boxes;
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 48; ++i) {
     Coord lo0 = static_cast<Coord>(SplitMix(&rng) % 24);
     Coord lo1 = static_cast<Coord>(SplitMix(&rng) % 24);
     boxes.push_back(Box{{lo0, lo1},
@@ -475,26 +476,30 @@ TEST_F(FaultRecoveryTest, OwnerDelayLeavesBatchedReadsExact) {
   std::vector<int64_t> baseline(boxes.size(), 0);
   cube.RangeSumBatch(boxes, baseline);
 
-  fault::Arm("sharded.owner.delay", fault::Trigger::Every(1));
+  fault::Arm("pool.task.delay", fault::Trigger::Every(1));
   std::vector<int64_t> delayed(boxes.size(), 0);
   cube.RangeSumBatch(boxes, delayed);
+  // Enough kSet runs that ApplyBatch resolves their bases on the pool too.
   MutationBatch writes;
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < 32; ++i) {
     writes.push_back(Mutation{{static_cast<Coord>(i % 32),
                                static_cast<Coord>((i * 7) % 32)},
-                              1,
-                              MutationKind::kAdd});
+                              i % 5,
+                              MutationKind::kSet});
   }
   EXPECT_TRUE(cube.ApplyBatch(writes));
-  // The delay site sits in the shard owners' request loop; the batched
-  // work above must have crossed it at least once for this test to mean
-  // anything. (Read before DisarmAll — disarming clears the counters.)
-  EXPECT_GT(fault::Hits("sharded.owner.delay"), 0u);
+  // The delay site sits in the pool's helper lanes; the batched work above
+  // must have crossed it at least once for this test to mean anything.
+  // (Read before DisarmAll — disarming clears the counters.)
+  EXPECT_GT(fault::Hits("pool.task.delay"), 0u);
   fault::DisarmAll();
 
   EXPECT_EQ(delayed, baseline);
-  std::vector<int64_t> after(boxes.size(), 0);
-  cube.RangeSumBatch(boxes, after);
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(cube.Get({static_cast<Coord>(i % 32),
+                        static_cast<Coord>((i * 7) % 32)}),
+              i % 5);
+  }
   int64_t total = 0;
   cube.ForEachNonZero([&total](const Cell&, int64_t v) { total += v; });
   EXPECT_EQ(total, cube.TotalSum());

@@ -19,7 +19,6 @@
 #include "common/cell.h"
 #include "common/mutation.h"
 #include "common/range.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "obs/flight_recorder.h"
 #include "obs/introspect.h"
@@ -169,26 +168,6 @@ TEST(Explain, NeverMutatesEvenWithAnalyze) {
   const QueryResult write = RunStatement("ADD AT [1, 2] = 5", &cube);
   ASSERT_TRUE(write.ok) << write.error;
   EXPECT_EQ(cube.TotalSum(), total + 5);
-}
-
-TEST(Explain, ShardedReadRecordsFanOutInLedger) {
-  if (!RuntimeObsAvailable()) GTEST_SKIP() << "built with DDC_OBS=OFF";
-  ShardedCube cube(2, 16, 4);
-  for (int64_t i = 0; i < 32; ++i) {
-    cube.Add({i % 16, (i * 3) % 16}, 1);
-  }
-  obs::CostLedger ledger;
-  {
-    obs::ScopedCostLedger scope(&ledger);
-    // One box spanning every slab: one group per shard, one sub-query each
-    // (the fan-out ledger sites live on the batched read path).
-    const Box all{UniformCell(2, 0), UniformCell(2, 15)};
-    int64_t out[1] = {0};
-    cube.RangeSumBatch(std::span<const Box>(&all, 1),
-                       std::span<int64_t>(out, 1));
-  }
-  EXPECT_EQ(ledger.shard_groups, 4);
-  EXPECT_EQ(ledger.shard_subqueries, 4);
 }
 
 // --- WorkloadRecorder ------------------------------------------------------

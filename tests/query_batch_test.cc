@@ -14,7 +14,6 @@
 #include "common/range.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "olap/measure.h"
@@ -23,8 +22,8 @@ namespace ddc {
 namespace {
 
 // The container running CI may report a single hardware thread, which would
-// leave the shared pool with zero workers and the parallel fan-out paths
-// (ConcurrentCube chunking, ShardedCube per-shard tasks) permanently inline.
+// leave the shared pool with zero workers and the parallel fan-out path
+// (ConcurrentCube chunking) permanently inline.
 // Force real worker threads so those paths run cross-thread here (and under
 // TSan via the `sanitize` ctest label). `overwrite=0` keeps any explicit
 // operator override. Runs before main, i.e. before ThreadPool::Shared() is
@@ -161,25 +160,6 @@ TEST(QueryBatchTest, ConcurrentCubeParallelFanOut) {
   ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 3));
 }
 
-TEST(QueryBatchTest, ShardedCubeAcrossShardCounts) {
-  for (int shards : {1, 3, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedCube cube(2, 64, shards);
-    const Shape shape = Shape::Cube(2, 64);
-    WorkloadGenerator gen(shape, 50 + static_cast<uint64_t>(shards));
-    for (int i = 0; i < 500; ++i) {
-      cube.Add(gen.UniformCell(), gen.Value(-9, 9));
-    }
-    // Batches repeatedly, so both the cross-shard scatter/gather fan-out
-    // and the single-shard path (boxes confined to one slab) get exercised.
-    ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 60));
-    Box slab_local;
-    slab_local.lo = {1, 1};
-    slab_local.hi = {2, 60};  // Narrow in dim 0: one shard.
-    ExpectBatchMatchesLoop(cube, {slab_local, slab_local});
-  }
-}
-
 TEST(QueryBatchTest, MeasureCubeSumAndCountBatches) {
   MeasureCube cube(2, 32);
   const Shape shape = Shape::Cube(2, 32);
@@ -244,7 +224,7 @@ TEST(QueryBatchTest, RangesClippedByGrowth) {
 // Interleave writes with batched reads: every batch must still equal the
 // per-query loop evaluated at the same quiescent point.
 TEST(QueryBatchTest, BatchesInterleavedWithUpdates) {
-  ShardedCube cube(2, 32, 3);
+  ConcurrentCube cube(2, 32);
   const Shape shape = Shape::Cube(2, 32);
   WorkloadGenerator gen(shape, 81);
   for (int round = 0; round < 10; ++round) {

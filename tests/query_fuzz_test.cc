@@ -253,7 +253,7 @@ TEST(QueryFuzzTest, ExplainPrefixedStatementsNeverCrashAndNeverMutate) {
 
 // Every fuzzed statement runs against a cache-enabled cube and an uncached
 // shadow twin fed the identical text; results must match exactly. The cache
-// is invisible to query semantics by construction (DESIGN.md §16) — any
+// is invisible to query semantics by construction (DESIGN.md §15) — any
 // divergence here is a stale entry or an invalidation gap. EXPLAIN-prefixed
 // statements additionally must never mutate or populate the cache.
 TEST(QueryFuzzTest, CachedAndUncachedTwinsAgreeOnEveryStatement) {

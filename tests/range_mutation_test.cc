@@ -1,9 +1,8 @@
 // Differential + property wall for first-class range mutations.
 //
 // Every cube implementation that accepts kRangeAdd/kRangeSet — through the
-// CubeInterface default loop, the DDC's signed-corner overlay, the sharded
-// per-slab write decomposition, the coarse concurrent facade and the WAL'd
-// durable cube — must be value-for-value indistinguishable from a naive
+// CubeInterface default loop, the DDC's signed-corner overlay, the coarse
+// concurrent facade and the WAL'd durable cube — must be value-for-value indistinguishable from a naive
 // array oracle fed the very same mixed point/range traffic. The suite
 // drives seeded random interleavings (empty, single-cell, full-cube and
 // out-of-domain-clipped boxes included), compares full cube state at
@@ -27,7 +26,6 @@
 #include "common/range.h"
 #include "common/shape.h"
 #include "concurrent/concurrent_cube.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "prefix/prefix_sum_cube.h"
@@ -304,32 +302,7 @@ TEST(RangeMutationDifferentialTest, FixedDomainCubesClipLikeTheOracle) {
 }
 
 // -------------------------------------------------------------------------
-// Concurrent facades.
-
-TEST(RangeMutationDifferentialTest, ShardedCubeMatchesOracleAcrossShardCounts) {
-  std::mt19937_64 rng(TestSeed(90210));
-  constexpr int kDims = 2;
-  constexpr Coord kSide = 40;
-  for (const int shards : {1, 3, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedCube cube(kDims, 16, shards);
-    NaiveCube oracle(Shape::Cube(kDims, kSide));
-    for (int round = 0; round < 70; ++round) {
-      const MutationBatch batch = RandomMixedBatch(rng, kDims, kSide);
-      ASSERT_TRUE(cube.ApplyBatch(batch));
-      ASSERT_TRUE(oracle.ApplyBatch(batch));
-      if (round % 3 == 0) {
-        // Wide slab-spanning ops through the convenience entry points.
-        const Box box = RandomBoxIn(rng, kDims, kSide);
-        const int64_t value = static_cast<int64_t>(rng() % 9) - 4;
-        cube.RangeAdd(box, value);
-        oracle.RangeAdd(box, value);
-      }
-    }
-    ExpectMatchesOracle(cube, oracle, rng, "sharded");
-    ExpectNonZeroWalkMatches(cube, oracle, "sharded");
-  }
-}
+// Concurrent facade.
 
 TEST(RangeMutationDifferentialTest, ConcurrentCubeMatchesOracle) {
   std::mt19937_64 rng(TestSeed(555));
@@ -346,6 +319,13 @@ TEST(RangeMutationDifferentialTest, ConcurrentCubeMatchesOracle) {
       const int64_t value = static_cast<int64_t>(rng() % 9) - 4;
       cube.RangeSet(box, value);
       oracle.RangeSet(box, value);
+    }
+    if (round % 3 == 0) {
+      // Wide ops through the additive convenience entry point too.
+      const Box box = RandomBoxIn(rng, kDims, kSide);
+      const int64_t value = static_cast<int64_t>(rng() % 9) - 4;
+      cube.RangeAdd(box, value);
+      oracle.RangeAdd(box, value);
     }
   }
   ExpectMatchesOracle(cube, oracle, rng, "concurrent");
@@ -419,10 +399,6 @@ TEST(RangeMutationContractTest, MalformedRangeBatchesAreRejectedWhole) {
     DynamicDataCube ddc(2, 8);
     EXPECT_FALSE(ddc.ApplyBatch(batch));
     EXPECT_EQ(ddc.TotalSum(), 0);  // Nothing applied, not even good_point.
-
-    ShardedCube sharded(2, 8, 3);
-    EXPECT_FALSE(sharded.ApplyBatch(batch));
-    EXPECT_EQ(sharded.TotalSum(), 0);
 
     ConcurrentCube concurrent(2, 8);
     EXPECT_FALSE(concurrent.ApplyBatch(batch));

@@ -3,8 +3,7 @@
 // Add / Set calls applied front to back — including duplicate cells (the
 // coalescing path), ADD/SET interleavings on one cell, batches straddling
 // domain growth, and empty batches. This is the contract every layer above
-// (sharded, concurrent, WAL group commit, query writes, OLAP ingest)
-// builds on.
+// (concurrent, WAL group commit, query writes, OLAP ingest) builds on.
 
 #include <cstdint>
 #include <cstdlib>
@@ -20,7 +19,6 @@
 #include "common/mutation.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "olap/measure.h"
@@ -257,23 +255,6 @@ TEST(UpdateBatchTest, ConcurrentCubeMatchesLoop) {
   });
 }
 
-TEST(UpdateBatchTest, ShardedCubeMatchesLoop) {
-  const uint64_t seed = TestSeed(616263);
-  for (const int shards : {1, 3, 4}) {
-    WorkloadGenerator gen(Shape::Cube(2, 16), seed);
-    ShardedCube sharded(2, 16, shards);
-    DynamicDataCube reference(2, 16);
-    const MutationBatch batch = MakeBatch(gen, 150, /*with_sets=*/true);
-    sharded.ApplyBatch(batch);
-    ApplyLoop(&reference, batch);
-    EXPECT_EQ(sharded.TotalSum(), reference.TotalSum()) << shards;
-    reference.ForEachNonZero([&](const Cell& cell, int64_t value) {
-      EXPECT_EQ(sharded.Get(cell), value)
-          << shards << " shards at " << CellToString(cell);
-    });
-  }
-}
-
 TEST(UpdateBatchTest, MeasureCubeBatchIngestMatchesLoop) {
   const uint64_t seed = TestSeed(717273);
   WorkloadGenerator gen(Shape::Cube(2, 16), seed);
@@ -340,12 +321,7 @@ TEST(UpdateBatchTest, MalformedBatchIsRejectedWithoutApplying) {
   concurrent.Add({1, 2}, 3);
   EXPECT_FALSE(concurrent.ApplyBatch(bad));
   EXPECT_EQ(concurrent.Get({1, 2}), 3);
-
-  ShardedCube sharded(2, 16, 4);
-  sharded.Add({1, 2}, 3);
-  EXPECT_FALSE(sharded.ApplyBatch(bad));
-  EXPECT_EQ(sharded.Get({1, 2}), 3);
-  EXPECT_EQ(sharded.TotalSum(), 3);
+  EXPECT_EQ(concurrent.TotalSum(), 3);
 }
 
 }  // namespace

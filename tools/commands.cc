@@ -19,7 +19,6 @@
 #include "common/thread_pool.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
-#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "ddc/snapshot.h"
 #include "fault/failpoint.h"
@@ -158,7 +157,7 @@ std::string UsageText() {
          "  ddctool info   CUBE\n"
          "  ddctool export CUBE --csv OUT\n"
          "  ddctool shrink CUBE\n"
-         "  ddctool stats  [--dims D] [--side S] [--ops N] [--shards K]\n"
+         "  ddctool stats  [--dims D] [--side S] [--ops N]\n"
          "                 [--format text|json|both] [--trace OUT|-] "
          "[--delta 1]\n"
          "  ddctool explain [--dims D] [--side S] [--ops N] \"<statement>\"\n"
@@ -378,7 +377,7 @@ namespace {
 // instrumented subsystem so the rendered registry demonstrates the full
 // metric surface (see DESIGN.md §9). Sized by --ops; everything is seeded,
 // so repeat runs produce identical counter totals.
-void RunStatsWorkload(int dims, int64_t side, int64_t ops, int shards) {
+void RunStatsWorkload(int dims, int64_t side, int64_t ops) {
   const size_t ud = static_cast<size_t>(dims);
 
   // Single-writer cube: updates (with growth past `side`), point reads,
@@ -439,25 +438,6 @@ void RunStatsWorkload(int dims, int64_t side, int64_t ops, int shards) {
   measures.AddObservationBatch(observations);
   (void)RunQuery("AVG GROUP BY d0 SIZE 2", measures);
 
-  // Sharded facade: point ops, one grouped batch, cross-shard reads.
-  ShardedCube striped(dims, side, shards);
-  std::vector<UpdateOp> batch;
-  for (int64_t i = 0; i < ops; ++i) {
-    for (size_t j = 0; j < ud; ++j) {
-      cell[j] = (i * 11 + static_cast<int64_t>(j) * 17) % side;
-    }
-    if (i % 3 == 0) {
-      striped.Add(cell, 1);
-    } else {
-      batch.push_back(UpdateOp{cell, 1, UpdateKind::kAdd});
-    }
-  }
-  striped.ApplyBatch(batch);
-  (void)striped.Get(UniformCell(dims, 0));
-  (void)striped.RangeSum(all);  // Spans every slab: the cross-shard path.
-  striped.RangeSumBatch(slices, sums);
-  (void)striped.TotalSum();
-
   // Coarse-locked facade: one batched fan-out through the shared pool.
   ConcurrentCube coarse(dims, side);
   for (Coord c = 0; c < side; ++c) coarse.Add(UniformCell(dims, c % side), 1);
@@ -465,7 +445,7 @@ void RunStatsWorkload(int dims, int64_t side, int64_t ops, int shards) {
 
   // Query-result cache: misses, hits, a hot-range adoption, precise
   // invalidations (point, additive range, assigning range) and a flush —
-  // covers the whole cache.* family (DESIGN.md §16).
+  // covers the whole cache.* family (DESIGN.md §15).
   {
     DynamicDataCube backend(dims, side);
     for (int64_t i = 0; i < ops / 4 + 4; ++i) {
@@ -551,11 +531,6 @@ int CmdStats(const std::vector<std::string>& args, std::ostream& out,
     err << "stats: --ops must be >= 1\n";
     return 2;
   }
-  int64_t shards = 4;
-  if (parsed.GetInt("shards", &shards) && shards < 1) {
-    err << "stats: --shards must be >= 1\n";
-    return 2;
-  }
   std::string format = "both";
   parsed.GetFlag("format", &format);
   if (format != "text" && format != "json" && format != "both") {
@@ -573,8 +548,7 @@ int CmdStats(const std::vector<std::string>& args, std::ostream& out,
   }
   obs::MetricsRegistry::Default().Reset();
   obs::ResetTrace();
-  RunStatsWorkload(static_cast<int>(dims), side, ops,
-                   static_cast<int>(shards));
+  RunStatsWorkload(static_cast<int>(dims), side, ops);
 
   if (delta) {
     // Two snapshots around a second identical workload run: report each
@@ -587,8 +561,7 @@ int CmdStats(const std::vector<std::string>& args, std::ostream& out,
         [](const std::string&, const obs::Gauge&) {},
         [](const std::string&, const obs::Histogram&) {});
     const uint64_t t0 = obs::NowNanos();
-    RunStatsWorkload(static_cast<int>(dims), side, ops,
-                     static_cast<int>(shards));
+    RunStatsWorkload(static_cast<int>(dims), side, ops);
     const uint64_t t1 = obs::NowNanos();
     const double seconds =
         std::max(1e-9, static_cast<double>(t1 - t0) / 1e9);

@@ -10,7 +10,7 @@
 //   ddctool info    CUBE
 //   ddctool export  CUBE --csv OUT
 //   ddctool shrink  CUBE
-//   ddctool stats   [--dims D] [--side S] [--ops N] [--shards K]
+//   ddctool stats   [--dims D] [--side S] [--ops N]
 //                   [--format text|json|both] [--trace OUT|-] [--delta 1]
 //   ddctool explain [--dims D] [--side S] [--ops N] "<statement>"
 //   ddctool heatmap [--dims D] [--side S] [--ops N] [--format text|json|both]

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Builds the tree under ThreadSanitizer and AddressSanitizer and runs the
-# `sanitize`-labelled concurrency tests under each. Any race/leak fails the
-# run. Usage:
+# Builds the tree under ThreadSanitizer and under AddressSanitizer plus
+# UndefinedBehaviorSanitizer (the `address` mode compiles both) and runs the
+# `sanitize`-labelled concurrency tests under each. Any race, leak or
+# undefined behaviour fails the run. Usage:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
 #   tools/run_sanitizers.sh thread     # just TSan
-#   tools/run_sanitizers.sh address    # just ASan
+#   tools/run_sanitizers.sh address    # just ASan+UBSan
 #
 # Build trees land in build-tsan/ and build-asan/ next to the source tree,
 # so they never disturb the regular build/ directory.
@@ -16,11 +17,10 @@ cd "$(dirname "$0")/.."
 
 # The targets behind `ctest -L "sanitize|fault"` (keep in sync with
 # tests/CMakeLists.txt). Building only these keeps a sanitizer run fast.
-SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
+SANITIZE_TARGETS=(concurrent_test
                   query_batch_test update_batch_test obs_concurrent_test
                   fault_recovery_test query_fuzz_test wal_test
                   range_mutation_test kernel_layout_test ddctool
-                  mailbox_test sharded_drain_test
                   cached_cube_test cache_invalidation_property_test)
 
 # Sanitizer runs exercise the SIMD dispatch paths too: DDC_NATIVE=ON (the
@@ -49,9 +49,12 @@ run_one() {
   cmake --build "$dir" -j "$(nproc)" --target "${SANITIZE_TARGETS[@]}"
   echo "=== ${kind} sanitizer: running ctest -L 'sanitize|fault' ==="
   # halt_on_error makes the first report fail the test instead of merely
-  # printing; second_deadlock_stack improves lock-order reports.
+  # printing; second_deadlock_stack improves lock-order reports. UBSan
+  # already aborts on its first report (-fno-sanitize-recover=undefined);
+  # its options only add the stack.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir "$dir" -L "sanitize|fault" --output-on-failure
 }
 
