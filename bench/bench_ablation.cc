@@ -80,6 +80,7 @@ void FanoutAblation() {
                       "storage cells"});
   for (int fanout : {2, 4, 8, 16, 32, 64}) {
     DdcOptions options;
+    options.elide_levels = 0;
     options.bc_fanout = fanout;
     const RunResult r = RunWorkload(options, 1024, 20000, false);
     table.AddRow({TablePrinter::FormatInt(fanout),
@@ -102,6 +103,7 @@ void StoreAblation(bool clustered) {
                       "storage cells"});
   for (bool use_fenwick : {false, true}) {
     DdcOptions options;
+    options.elide_levels = 0;
     options.use_fenwick = use_fenwick;
     const RunResult r = RunWorkload(options, 1024, 20000, clustered);
     table.AddRow({use_fenwick ? "fenwick" : "bc_tree",

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cached_cube.h"
@@ -345,10 +346,12 @@ int Run() {
                "{\n"
                "  \"bench\": \"cached_reads\",\n"
                "  \"smoke\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"speedup_cached_p50_2d\": %.3f,\n"
                "  \"speedup_write_p50_2d\": %.3f,\n"
                "  \"configs\": [\n",
-               smoke ? 1 : 0, read_headline, write_headline);
+               smoke ? 1 : 0, std::thread::hardware_concurrency(),
+               read_headline, write_headline);
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     // speedup_* keys are all higher-is-better for the regression gate:

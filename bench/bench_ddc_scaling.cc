@@ -26,7 +26,7 @@ void RunDimension(int dims, const std::vector<int64_t>& sides,
   TablePrinter table({"n", "update writes", "query reads (avg)",
                       "model (log2 n)^d", "update us", "query us"});
   for (int64_t n : sides) {
-    DynamicDataCube cube(dims, n);
+    DynamicDataCube cube(dims, n, {.elide_levels = 0});
     WorkloadGenerator gen(Shape::Cube(dims, n), static_cast<uint64_t>(n));
     for (const UpdateOp& op : gen.UniformUpdates(prepopulate, 1, 9)) {
       cube.Add(op.cell, op.delta);

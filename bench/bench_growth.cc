@@ -33,7 +33,7 @@ void RunClusteredGrowth() {
   TablePrinter table({"inserts", "bbox side", "bbox cells (PS storage)",
                       "DDC storage", "DDC/bbox", "DDC doublings"});
 
-  DynamicDataCube cube(2, 16);
+  DynamicDataCube cube(2, 16, {.elide_levels = 0});
   std::mt19937_64 rng(5);
   std::normal_distribution<double> noise(0.0, 12.0);
   std::uniform_int_distribution<Coord> center_coord(-20000, 20000);
@@ -89,7 +89,7 @@ void RunSparseCostComparison() {
   for (const Cell& c : cells) ps.Add(c, 1);
   const int64_t ps_writes = ps.counters().values_written;
 
-  DynamicDataCube ddc_cube(2, n);
+  DynamicDataCube ddc_cube(2, n, {.elide_levels = 0});
   ddc_cube.ResetCounters();
   for (const Cell& c : cells) ddc_cube.Add(c, 1);
   const int64_t ddc_writes = ddc_cube.counters().values_written;

@@ -45,7 +45,7 @@ void Run(int64_t n, const char* workload, int64_t inserts) {
   PrefixSumCube ps(shape);
   RelativePrefixSumCube rps(shape);
   BasicDdc basic(2, n);
-  DynamicDataCube ddc_cube(2, n);
+  DynamicDataCube ddc_cube(2, n, {.elide_levels = 0});
   for (const Cell& c : cells) {
     naive.Add(c, 1);
     rps.Add(c, 1);

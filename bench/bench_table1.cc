@@ -72,7 +72,7 @@ Measured MeasureWorstCase(int dims, int64_t side) {
     m.rps = cube.counters().values_written;
   }
   {
-    DynamicDataCube cube(dims, side);
+    DynamicDataCube cube(dims, side, {.elide_levels = 0});
     cube.ResetCounters();
     cube.Add(anchor, 1);
     m.ddc = cube.counters().values_written;
@@ -116,7 +116,7 @@ void PrintWallClockContrast() {
             reps;
   }
   {
-    DynamicDataCube cube(2, n);
+    DynamicDataCube cube(2, n, {.elide_levels = 0});
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) cube.Add({0, 0}, 1);
     const auto end = std::chrono::steady_clock::now();

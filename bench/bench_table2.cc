@@ -93,7 +93,7 @@ void PrintMeasuredTreeStorage() {
     MdArray<int64_t> a = gen.RandomDenseArray(1, 9);
 
     BasicDdc basic(2, n);
-    DynamicDataCube ddc_cube(2, n);
+    DynamicDataCube ddc_cube(2, n, {.elide_levels = 0});
     a.ForEach([&](const Cell& c, const int64_t& v) {
       basic.Add(c, v);
       ddc_cube.Add(c, v);

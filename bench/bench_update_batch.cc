@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/mutation.h"
@@ -204,9 +205,10 @@ int Run() {
                "{\n"
                "  \"bench\": \"update_batch\",\n"
                "  \"smoke\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"speedup_batched_vs_looped_2d\": %.3f,\n"
                "  \"configs\": [\n",
-               smoke ? 1 : 0, headline);
+               smoke ? 1 : 0, std::thread::hardware_concurrency(), headline);
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     // The speedup_batched_p* keys compare tail latencies (looped over

@@ -14,10 +14,11 @@
 //   * Growth and shrink re-rooting build the new core in a *fresh* arena and
 //     drop the old one wholesale, so a re-rooted cube never carries dead
 //     nodes from its previous life.
-//   * Objects that own heap memory (raw-leaf MdArrays, Fenwick trees, nested
-//     cores) register their destructor; destructors run in reverse
-//     registration order when the arena dies. Trivially destructible types
-//     skip registration entirely, which is the common case by design.
+//   * Objects that own heap memory (Fenwick trees, nested cores) register
+//     their destructor; destructors run in reverse registration order when
+//     the arena dies. Trivially destructible types (nodes, boxes, flat leaf
+//     blocks) skip registration entirely, which is the common case by
+//     design.
 //
 // Not thread-safe: an arena belongs to one cube, and cubes require external
 // synchronization for writes (the concurrent facades hold exclusive locks

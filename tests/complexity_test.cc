@@ -1,7 +1,7 @@
 // Measured-complexity tests: the operation-count shapes claimed by the
 // paper (Table 1 and Theorems 1-2) must hold on the real implementations.
 // These tests assert orderings and growth trends, not machine-dependent
-// constants.
+// constants. The DDC runs the paper's full tree (elide_levels = 0).
 
 #include <algorithm>
 #include <cmath>
@@ -46,7 +46,7 @@ UpdateCosts MeasureWorstCaseUpdate(int dims, int64_t side) {
   basic.Add(anchor, 1);
   costs.basic_ddc = basic.counters().values_written;
 
-  DynamicDataCube ddc_cube(dims, side);
+  DynamicDataCube ddc_cube(dims, side, {.elide_levels = 0});
   ddc_cube.ResetCounters();
   ddc_cube.Add(anchor, 1);
   costs.ddc = ddc_cube.counters().values_written;
@@ -123,7 +123,7 @@ TEST(ComplexityTest, MeasuredGapMatchesModelDirection) {
 // DDC queries are polylog too: compare against the naive-scan region size.
 TEST(ComplexityTest, DdcQueryPolylog) {
   const int64_t n = 512;
-  DynamicDataCube cube(2, n);
+  DynamicDataCube cube(2, n, {.elide_levels = 0});
   WorkloadGenerator gen(Shape::Cube(2, n), 3);
   for (const UpdateOp& op : gen.UniformUpdates(500, 1, 9)) {
     cube.Add(op.cell, op.delta);

@@ -56,8 +56,9 @@ std::unique_ptr<CubeInterface> MakeCube(Kind kind, int dims, int64_t side) {
       return std::make_unique<RelativePrefixSumCube>(Shape::Cube(dims, side));
     case Kind::kBasicDdc:
       return std::make_unique<BasicDdc>(dims, side);
-    case Kind::kDdc:
-      return std::make_unique<DynamicDataCube>(dims, side);
+    case Kind::kDdc:  // The paper's full tree; kDdcElided is the default.
+      return std::make_unique<DynamicDataCube>(dims, side,
+                                               DdcOptions{.elide_levels = 0});
     case Kind::kDdcElided: {
       DdcOptions options;
       options.elide_levels = 2;

@@ -306,7 +306,9 @@ void DriveCoreDifferential(int dims, int64_t side, const DdcOptions& options,
 }
 
 TEST(DdcCoreDifferential, BatchedWalksAcrossDimsAndElision) {
+  // The paper's full tree: side-2 leaf blocks.
   DdcOptions plain;
+  plain.elide_levels = 0;
   DriveCoreDifferential(1, 64, plain, 41);
   DriveCoreDifferential(2, 32, plain, 42);
   DriveCoreDifferential(3, 16, plain, 43);
@@ -322,6 +324,47 @@ TEST(DdcCoreDifferential, BatchedWalksAcrossDimsAndElision) {
   DdcOptions dense;
   dense.bc_dense = true;
   DriveCoreDifferential(2, 32, dense, 46);
+}
+
+// Flat leaf blocks: the vectorized RawPrefix (one block sum per innermost
+// run) against the per-cell scalar odometer, bit for bit and count for
+// count, for every offset of densely filled side-8 blocks in 1-4 dims.
+TEST(DdcCoreDifferential, FlatBlockRawPrefixMatchesScalarReference) {
+  std::mt19937_64 rng(61);
+  std::uniform_int_distribution<int64_t> value(-(int64_t{1} << 40),
+                                               int64_t{1} << 40);
+  for (int dims = 1; dims <= 4; ++dims) {
+    // side 8: the cube is one root block; side 16: one node over blocks.
+    for (int64_t side : {int64_t{8}, int64_t{16}}) {
+      if (dims == 4 && side == 16) continue;  // 65536 offsets: too slow.
+      SCOPED_TRACE(testing::Message() << "dims=" << dims << " side=" << side);
+      OpCounters counters;
+      DdcCore core(dims, side, DdcOptions{}, &counters);
+      ASSERT_EQ(core.min_box_side(), 8);
+      const Shape shape = Shape::Cube(dims, side);
+      Cell c(static_cast<size_t>(dims), 0);
+      do {
+        core.Add(c, value(rng));
+      } while (shape.NextCell(&c));
+      c.assign(static_cast<size_t>(dims), 0);
+      do {
+        counters.Reset();
+        const int64_t fast = core.PrefixSum(c);
+        const OpCounters fast_counts = counters;
+        counters.Reset();
+        int64_t scalar;
+        {
+          kernels::ScopedForceScalar force(true);
+          scalar = core.PrefixSum(c);
+        }
+        ASSERT_EQ(fast, scalar) << CellToString(c);
+        ASSERT_EQ(fast_counts.values_read, counters.values_read)
+            << CellToString(c);
+        ASSERT_EQ(fast_counts.nodes_visited, counters.nodes_visited)
+            << CellToString(c);
+      } while (shape.NextCell(&c));
+    }
+  }
 }
 
 TEST(DdcCoreDifferential, ReRootGrowthStaysExact) {

@@ -55,7 +55,8 @@ TEST(BufferPoolTest, SingleSlotPoolThrashes) {
 }
 
 TEST(PagedCubeProbeTest, CountsNodeAccesses) {
-  DynamicDataCube cube(2, 64);
+  // The paper's full tree (elide_levels = 0), whatever the default shape.
+  DynamicDataCube cube(2, 64, {.elide_levels = 0});
   PagedCubeProbe probe(&cube, /*capacity_pages=*/1 << 20);
   cube.Add({10, 20}, 5);
   // One path of nodes plus the leaf block: 5 nodes + 1 raw = 6 pages.
@@ -67,7 +68,7 @@ TEST(PagedCubeProbeTest, CountsNodeAccesses) {
 }
 
 TEST(PagedCubeProbeTest, QueriesTouchOnePathPlusBlocks) {
-  DynamicDataCube cube(2, 256);
+  DynamicDataCube cube(2, 256, {.elide_levels = 0});
   WorkloadGenerator gen(Shape::Cube(2, 256), 3);
   for (const UpdateOp& op : gen.UniformUpdates(500, 1, 9)) {
     cube.Add(op.cell, op.delta);

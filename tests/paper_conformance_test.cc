@@ -74,7 +74,8 @@ std::unique_ptr<CubeInterface> MakeCube(Kind kind) {
       return std::make_unique<RelativePrefixSumCube>(Shape::Cube(2, side));
     case Kind::kBasicDdc:
       return std::make_unique<BasicDdc>(2, side);
-    case Kind::kDdc:
+    case Kind::kDdc:  // The paper's full tree; kDdcElided2 is the default.
+      options.elide_levels = 0;
       break;
     case Kind::kDdcFanout2:
       options.bc_fanout = 2;

@@ -104,7 +104,8 @@ TEST(QueryBatchTest, DynamicDataCubeMatchesLoop) {
     for (uint64_t seed : {11u, 12u, 13u}) {
       SCOPED_TRACE("dims=" + std::to_string(dims) +
                    " seed=" + std::to_string(seed));
-      DynamicDataCube cube(dims, 32);
+      // The paper's full tree; the default (elided) shape runs below.
+      DynamicDataCube cube(dims, 32, {.elide_levels = 0});
       PopulateAndCheck(cube, dims, 32, seed, 40);
     }
   }

@@ -84,7 +84,8 @@ TEST(StatsTest, EmptyCube) {
 }
 
 TEST(StatsTest, SingleCellPath) {
-  DynamicDataCube cube(2, 64);
+  // The paper's full tree (elide_levels = 0), whatever the default shape.
+  DynamicDataCube cube(2, 64, {.elide_levels = 0});
   cube.Add({10, 20}, 5);
   const DdcStats stats = cube.Stats();
   // One node per level above the leaf blocks: 64 -> boxes 32, 16, 8, 4, 2;
@@ -115,7 +116,7 @@ TEST(StatsTest, ElidedTreesHaveFewerNodes) {
   WorkloadGenerator gen(Shape::Cube(2, 128), 41);
   const auto ops = gen.UniformUpdates(500, 1, 9);
 
-  DynamicDataCube full(2, 128);
+  DynamicDataCube full(2, 128, {.elide_levels = 0});
   DdcOptions elided_options;
   elided_options.elide_levels = 3;
   DynamicDataCube elided(2, 128, elided_options);

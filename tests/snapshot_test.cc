@@ -133,6 +133,9 @@ TEST(SnapshotTest, LoadsVersion1) {
   auto loaded = ReadSnapshot(&stream);
   ASSERT_NE(loaded, nullptr);
   EXPECT_FALSE(loaded->options().bc_dense);
+  // The persisted full tree, not the (elided) default shape.
+  EXPECT_EQ(loaded->options().elide_levels, 0);
+  EXPECT_EQ(loaded->Stats().raw_cells, loaded->Stats().raw_blocks * 4);
   EXPECT_EQ(loaded->DomainLo(), (Cell{-4, 0}));
   EXPECT_EQ(loaded->Get({-4, 0}), 5);
   EXPECT_EQ(loaded->Get({3, 7}), 6);

@@ -125,9 +125,11 @@ std::vector<Factory> AllFactories() {
        [](int dims, int64_t side) {
          return std::make_unique<BasicDdc>(dims, side);
        }},
+      // Both tree shapes: the paper's full tree and the default elided one.
       {"Ddc",
        [](int dims, int64_t side) {
-         return std::make_unique<DynamicDataCube>(dims, side);
+         return std::make_unique<DynamicDataCube>(
+             dims, side, DdcOptions{.elide_levels = 0});
        }},
       {"DdcElided",
        [](int dims, int64_t side) {

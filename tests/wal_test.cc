@@ -349,6 +349,51 @@ TEST_F(WalTest, DurableCubeSurvivesRestart) {
   EXPECT_EQ(reopened.cube().TotalSum(), 150);
 }
 
+// The tree shape is persisted by the snapshot: a base checkpointed with the
+// paper's full tree (h = 0) reopens as h = 0 under the elided default, and
+// answers as it did; a fresh base starts at the default h = 2.
+TEST_F(WalTest, SnapshotKeepsItsTreeShape) {
+  DynamicDataCube reference(2, 16, {.elide_levels = 0});
+  WorkloadGenerator gen(Shape::Cube(2, 16), 5);
+  const std::vector<UpdateOp> ops = gen.UniformUpdates(60, -9, 9);
+  {
+    DurableCube cube(2, 16, base_, {.elide_levels = 0});
+    ASSERT_TRUE(cube.durable());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      cube.Add(ops[i].cell, ops[i].delta, /*sync=*/true);
+      reference.Add(ops[i].cell, ops[i].delta);
+      if (i == 40) {
+        ASSERT_TRUE(cube.Checkpoint());  // The rest: log only.
+      }
+    }
+  }
+  DurableCube reopened(2, 16, base_);  // Default options.
+  EXPECT_EQ(reopened.recovery().applied, 19);
+  EXPECT_EQ(reopened.cube().options().elide_levels, 0);
+  const DdcStats stats = reopened.cube().Stats();
+  EXPECT_EQ(stats.raw_cells, stats.raw_blocks * 4);  // Side-2 leaf blocks.
+  EXPECT_EQ(stats.nodes, reference.Stats().nodes);
+  EXPECT_EQ(reopened.cube().StorageCells(), reference.StorageCells());
+  for (Coord x = 0; x < 16; ++x) {
+    for (Coord y = 0; y < 16; ++y) {
+      ASSERT_EQ(reopened.cube().PrefixSum({x, y}), reference.PrefixSum({x, y}))
+          << x << "," << y;
+    }
+  }
+
+  Cleanup();
+  {
+    DurableCube fresh(2, 16, base_);
+    EXPECT_EQ(fresh.cube().options().elide_levels, 2);
+    EXPECT_EQ(fresh.cube().options().elide_levels, DdcOptions{}.elide_levels);
+    fresh.Add({3, 3}, 1, true);
+    ASSERT_TRUE(fresh.Checkpoint());
+  }
+  DurableCube fresh_reopened(2, 16, base_);
+  EXPECT_EQ(fresh_reopened.cube().options().elide_levels, 2);
+  EXPECT_EQ(fresh_reopened.cube().Get({3, 3}), 1);
+}
+
 TEST_F(WalTest, CheckpointResetsLogAndKeepsState) {
   {
     DurableCube cube(2, 16, base_);

@@ -145,6 +145,8 @@ std::string UsageText() {
          "usage:\n"
          "  ddctool create --dims D [--side S] [--fanout F] [--elide H] "
          "[--fenwick 0|1] OUT\n"
+         "                 (--elide: Section 4.4 elided tree levels, default "
+         "2; 0 = the paper's full tree)\n"
          "  ddctool load   --dims D [--side S] --csv IN OUT\n"
          "  ddctool add    CUBE c1 ... cd value\n"
          "  ddctool query  CUBE --range lo1:hi1,...,lod:hid\n"
