@@ -100,7 +100,7 @@ bool ConcurrentCube::ApplyBatch(std::span<const Mutation> batch) {
   // so large runs fan out across the pool (workers take no locks; the
   // ParallelFor join orders their reads before the writes below).
   std::vector<int64_t> base(set_cells.size(), 0);
-  constexpr size_t kMinChunk = 8;
+  constexpr size_t kMinChunk = 32;
   if (set_cells.size() < 2 * kMinChunk) {
     for (size_t k = 0; k < set_cells.size(); ++k) {
       base[k] = cube_.Get(coalesced[set_cells[k]].cell);
@@ -165,9 +165,11 @@ void ConcurrentCube::RangeSumBatch(std::span<const Box> boxes,
   std::shared_lock lock(mutex_);
   ThreadPool& pool = ThreadPool::Shared();
   const size_t lanes = static_cast<size_t>(pool.num_threads()) + 1;
-  // Small batches are not worth splitting: each chunk repays its scheduling
-  // cost only past a handful of queries.
-  constexpr size_t kMinChunk = 8;
+  // Small batches are not worth splitting: waking a pool worker costs about
+  // as much as a few dozen cheap queries. With chunks of 8, a 32-box batch
+  // on a side-16 3-D cube ran at 89 us p50 split four ways against 56 us
+  // inline (bench_query_batch smoke, 4 vCPUs).
+  constexpr size_t kMinChunk = 32;
   const size_t num_chunks =
       std::clamp<size_t>(boxes.size() / kMinChunk, size_t{1}, lanes);
   span.set_arg1(static_cast<int64_t>(num_chunks));
